@@ -1,10 +1,8 @@
-"""Hot sequential kernels for the score-driven filter.
+"""The score-driven filter step: the only place it is written.
 
-The per-timestep recursion cannot be vectorized, so it is compiled with
-numba by default. Setting the environment variable ``GASNORM_NUMBA=0``
-(or numba being unavailable) selects the pure-Python/numpy fallback,
-which runs the very same function body. ``benchmarks/bench_filter.py``
-compares the two paths.
+Each step is a natural-gradient update of the prior state followed by
+the linear prediction step; ``filtering.filter_series`` and
+``filtering.update`` both run through ``filter_recursion``.
 
 Family codes: 0 = Gaussian, 1 = Student's t.
 The kernel returns a status: -1 on success, otherwise the index of the
@@ -12,7 +10,6 @@ first timestep at which the state became non-finite.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -21,8 +18,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 GAUSSIAN = 0
 STUDENT_T = 1
 
+# the kernel is plain Python; run records read this flag
+NUMBA_ACTIVE = False
 
-def filter_recursion_py(
+
+def filter_recursion(
     ys,
     family,
     alpha_mu,
@@ -76,6 +76,7 @@ def filter_recursion_py(
         else:
             z2 = r * r / (nu * s2)
             loglik += lgam - 0.5 * math.log(s2) - 0.5 * (nu + 1.0) * math.log1p(z2)
+            # scalings nu*s2/(nu+1) and 2*s2^2: proportional to the inverse FIM
             scaled_mu = r / (1.0 + z2)
             scaled_s2 = (nu + 1.0) * r * r / (nu + r * r / s2) - s2
             fim_mu = (nu + 1.0) / ((nu + 3.0) * s2)
@@ -97,19 +98,3 @@ def filter_recursion_py(
             return mu_prior, s2_prior, mu_filt, s2_filt, loglik, penalty, t
     return mu_prior, s2_prior, mu_filt, s2_filt, loglik, penalty, -1
 
-
-def _numba_enabled() -> bool:
-    return os.environ.get("GASNORM_NUMBA", "1").strip().lower() not in ("0", "false", "no", "off")
-
-
-def _compile():
-    if not _numba_enabled():
-        return filter_recursion_py, False
-    try:
-        from numba import njit
-    except ImportError:
-        return filter_recursion_py, False
-    return njit(cache=True)(filter_recursion_py), True
-
-
-filter_recursion, NUMBA_ACTIVE = _compile()

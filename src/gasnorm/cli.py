@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Subcommands: gen, fit, normalize, forecast, eval, experiment.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 invalid input (bad flags, files, parameters),
+2 numerical failure. Each subcommand declares only the flags it reads.
 """
 
 from __future__ import annotations
@@ -29,20 +30,24 @@ from .normalization import (
 from .series import SeriesFrame, SplitSpec, load_csv, write_csv
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    parser.add_argument("--output-dir", type=str, default=".")
-    parser.add_argument("--dist", choices=["gaussian", "student_t"], default="student_t")
-    parser.add_argument("--nu", type=float, default=100.0)
-    parser.add_argument("--gamma", type=float, default=0.5)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input: exit 1, as exit 2 means numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _load_config(args) -> dict:
-    if not args.config:
-        return {}
-    with open(args.config) as fh:
-        return json.load(fh)
+    return _read_json(args.config) if args.config else {}
 
 
 def _out(args, name: str) -> str:
@@ -101,9 +106,7 @@ def _cmd_fit(args) -> int:
 
 
 def _load_params(path) -> dict[str, GasParams]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return {name: r.params for name, r in fit_results_from_dict(doc).items()}
+    return {name: r.params for name, r in fit_results_from_dict(_read_json(path)).items()}
 
 
 def _make_normalizer(args, frame: SeriesFrame) -> NormalizerSpec:
@@ -136,8 +139,7 @@ def _cmd_forecast(args) -> int:
     nspec = _make_normalizer(args, frame)
     batch = normalize(nspec, frame.values, args.horizon, frame.feature_names)
     if args.model:
-        with open(args.model) as fh:
-            model = TrainedModel.from_dict(json.load(fh))
+        model = TrainedModel.from_dict(_read_json(args.model))
         residual = predict(model, batch.normalized_context)
     else:
         # no residual model: the forecast is the filter's own statistics path
@@ -214,14 +216,16 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gasnorm",
         description="Score-driven adaptive normalization for time series forecasting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="JSON config file; its keys override the flags")
+    p.add_argument("--output-dir", default=".")
     p.add_argument("kind", nargs="?", choices=["ar", "lorenz"])
     p.add_argument("--length", type=int, default=1000)
     p.add_argument("--ar-coeffs", type=float, nargs="*", default=[0.9])
@@ -234,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("fit", help="fit filter parameters per feature")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output-dir", default=".")
+    p.add_argument("--dist", choices=["gaussian", "student_t"], default="student_t")
+    p.add_argument("--nu", type=float, default=100.0)
+    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("data", help="training CSV")
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--max-iters", type=int, default=400)
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("normalize", help="normalize a context CSV")
-    _common_flags(p)
+    p.add_argument("--output-dir", default=".")
     p.add_argument("data", help="context CSV")
     p.add_argument("--normalizer", default="gas_norm",
                    choices=[k.value for k in NormalizerKind])
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("forecast", help="denormalized forecast from a context CSV")
-    _common_flags(p)
+    p.add_argument("--output-dir", default=".")
     p.add_argument("data", help="context CSV")
     p.add_argument("--normalizer", default="gas_norm",
                    choices=[k.value for k in NormalizerKind])
@@ -262,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("eval", help="MASE between forecast files")
-    _common_flags(p)
     p.add_argument("--actual", required=True)
     p.add_argument("--forecast", required=True)
     p.add_argument("--train", required=True)
@@ -270,18 +277,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full normalizer comparison")
-    _common_flags(p)
+    p.add_argument("--config", help="JSON experiment config")
+    p.add_argument("--output-dir", default=".")
     p.set_defaults(func=_cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps ValidationError to exit code 1 and NumericalError to exit
-code 2; everything else is a plain crash.
+The CLI maps ValidationError (and unreadable files) to exit code 1 and
+NumericalError to exit code 2; everything else is a plain crash.
 """
 
 
@@ -18,7 +18,7 @@ class NumericalError(GasNormError, ArithmeticError):
 
 
 class FitError(NumericalError):
-    """All optimizer restarts failed; carries per-restart diagnostics."""
+    """A fit could not start, or every feature failed; carries per-feature diagnostics."""
 
     def __init__(self, message: str, diagnostics: list | None = None):
         super().__init__(message)

@@ -5,10 +5,11 @@ in the direction of the inverse-Fisher-scaled score (a natural gradient
 step) damped by the normalization strength, then a linear prediction
 step pulls it toward its unconditional level:
 
-    theta_{t|t}   = theta_{t|t-1} + (g/(1-g)) * alpha * scaled_score
+    theta_{t|t}   = theta_{t|t-1} + (g/(1-g)) * alpha * s_t
     theta_{t+1|t} = omega + beta * theta_{t|t}
 
-with g in [0, 1). g = 0 freezes the score term entirely, which reduces
+with s_t the inverse-Fisher-scaled score and g in [0, 1). The step is
+written once, in ``_recursions.filter_recursion``. g = 0 freezes the score term entirely, which reduces
 the filter to a deterministic affine recursion (static normalization).
 """
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 
@@ -54,6 +56,10 @@ class GasParams:
     def __post_init__(self):
         if isinstance(self.family, str):
             object.__setattr__(self, "family", Family(self.family))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "family" and not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
         if self.alpha_mu < 0 or self.alpha_sigma < 0:
             raise ValidationError("learning rates alpha must be non-negative")
         if abs(self.beta_mu) >= 1 or abs(self.beta_sigma) >= 1:
@@ -86,6 +92,9 @@ class GasParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GasParams":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValidationError(f"unknown parameter keys {sorted(unknown)}")
         return cls(**d)
 
     def with_gamma(self, gamma: float) -> "GasParams":
@@ -137,18 +146,13 @@ class FilterTrace:
         return self.mu_prior.shape[0]
 
     @property
-    def states(self) -> list[FilterState]:
-        p = self.params
-        out = []
-        for t in range(len(self)):
-            mu_next = p.omega_mu + p.beta_mu * self.mu_filt[t]
-            s2_next = max(p.omega_sigma + p.beta_sigma * self.sigma2_filt[t], VARIANCE_FLOOR)
-            out.append(FilterState(mu_next, s2_next, self.mu_filt[t], self.sigma2_filt[t]))
-        return out
-
-    @property
     def last_state(self) -> FilterState:
-        return self.states[-1]
+        """The last filtered value and the prediction made from it."""
+        p = self.params
+        mu_filt, s2_filt = self.mu_filt[-1], self.sigma2_filt[-1]
+        mu_next = p.omega_mu + p.beta_mu * mu_filt
+        s2_next = max(p.omega_sigma + p.beta_sigma * s2_filt, VARIANCE_FLOOR)
+        return FilterState(mu_next, s2_next, mu_filt, s2_filt)
 
 
 def score_and_fim(
@@ -176,56 +180,10 @@ def score_and_fim(
     return score_mu, score_s2, fim_mu, fim_s2
 
 
-def log_density(family: Family, y: float, mu: float, sigma2: float, nu: float = 100.0) -> float:
-    """Conditional log-density of one observation."""
-    if sigma2 <= 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    r = y - mu
-    if family is Family.GAUSSIAN:
-        return -0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(sigma2) - 0.5 * r * r / sigma2
-    return (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(math.pi * nu)
-        - 0.5 * math.log(sigma2)
-        - 0.5 * (nu + 1.0) * math.log1p(r * r / (nu * sigma2))
-    )
-
-
-def scaled_score(
-    family: Family, y: float, mu: float, sigma2: float, nu: float = 100.0
-) -> tuple[float, float]:
-    """Inverse-FIM-scaled (natural gradient) scores for both channels.
-
-    Gaussian scaling is the exact inverse FIM; the Student's t scaling
-    uses S_mu = nu*sigma2/(1+nu) and S_sigma2 = 2*sigma2^2, proportional
-    to the inverse information.
-    """
-    if sigma2 <= 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    r = y - mu
-    if family is Family.GAUSSIAN:
-        return r, r * r - sigma2
-    return (
-        r / (1.0 + r * r / (nu * sigma2)),
-        (nu + 1.0) * r * r / (nu + r * r / sigma2) - sigma2,
-    )
-
-
 def update(params: GasParams, state: FilterState, y: float) -> FilterState:
-    """One observation step: natural-gradient update then linear prediction."""
-    if not math.isfinite(y):
-        raise ValidationError(f"observation must be finite, got {y}")
-    mu, s2 = state.mu_pred, state.sigma2_pred
-    s_mu, s_s2 = scaled_score(params.family, y, mu, s2, params.nu)
-    g = params.gamma_ratio
-    mu_filt = mu + g * params.alpha_mu * s_mu
-    s2_filt = max(s2 + g * params.alpha_sigma * s_s2, VARIANCE_FLOOR)
-    mu_next = params.omega_mu + params.beta_mu * mu_filt
-    s2_next = max(params.omega_sigma + params.beta_sigma * s2_filt, VARIANCE_FLOOR)
-    if not all(math.isfinite(v) for v in (mu_filt, s2_filt, mu_next, s2_next)):
-        raise NumericalError("filter state became non-finite")
-    return FilterState(mu_next, s2_next, mu_filt, s2_filt)
+    """One observation step from ``state``: the filter run over ``[y]``."""
+    start = replace(params, mu0=state.mu_pred, sigma2_0=state.sigma2_pred)
+    return filter_series(start, [y]).last_state
 
 
 def filter_series(params: GasParams, ys) -> FilterTrace:

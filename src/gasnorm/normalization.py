@@ -91,7 +91,8 @@ class NormalizedBatch:
         return self.horizon_scale**2
 
 
-def _as_context(context) -> np.ndarray:
+def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]]:
+    """The checks every normalizer shares: context, horizon and feature names."""
     ctx = np.asarray(context, dtype=np.float64)
     if ctx.ndim == 1:
         ctx = ctx[:, None]
@@ -99,14 +100,12 @@ def _as_context(context) -> np.ndarray:
         raise ValidationError("context must be a non-empty 2-D (time, feature) array")
     if not np.all(np.isfinite(ctx)):
         raise ValidationError("context contains non-finite values")
-    return ctx
-
-
-def _names(ctx: np.ndarray, feature_names) -> list[str]:
+    if horizon < 1:
+        raise ValidationError(f"horizon must be at least 1, got {horizon}")
     names = list(feature_names) if feature_names else [f"f{i}" for i in range(ctx.shape[1])]
     if len(names) != ctx.shape[1]:
         raise ValidationError("feature_names length does not match context width")
-    return names
+    return ctx, names
 
 
 def _std(sigma2: np.ndarray) -> np.ndarray:
@@ -125,8 +124,7 @@ def gas_normalize(
     was seen; horizon statistics continue the filter's affine forecast
     recursion past the end of the context.
     """
-    ctx = _as_context(context)
-    names = _names(ctx, feature_names)
+    ctx, names = _inputs(context, horizon, feature_names)
     missing = [n for n in names if n not in params]
     if missing:
         raise ValidationError(f"no fitted parameters for features {missing}")
@@ -156,10 +154,9 @@ def gas_normalize(
 
 def local_normalize(context, horizon: int, feature_names=None) -> NormalizedBatch:
     """Standardize with the context window's own mean and population variance."""
-    ctx = _as_context(context)
+    ctx, names = _inputs(context, horizon, feature_names)
     if ctx.shape[0] < 2:
         raise ValidationError("local normalization needs a context of length >= 2")
-    names = _names(ctx, feature_names)
     mu = ctx.mean(axis=0)
     scale = _std(ctx.var(axis=0))
     T = ctx.shape[0]
@@ -181,8 +178,7 @@ def global_normalize(
     feature_names=None,
 ) -> NormalizedBatch:
     """Standardize with training-set-wide mean and variance per feature."""
-    ctx = _as_context(context)
-    names = _names(ctx, feature_names)
+    ctx, names = _inputs(context, horizon, feature_names)
     missing = [n for n in names if n not in global_stats]
     if missing:
         raise ValidationError(f"no global statistics for features {missing}")
@@ -206,8 +202,7 @@ def mean_scale(context, horizon: int, feature_names=None) -> NormalizedBatch:
     Features whose context mean is within 1e-12 of zero fall back to
     scale 1 and are flagged in ``fallback``.
     """
-    ctx = _as_context(context)
-    names = _names(ctx, feature_names)
+    ctx, names = _inputs(context, horizon, feature_names)
     mean = ctx.mean(axis=0)
     fallback = np.abs(mean) < _MEAN_SCALE_EPS
     scale = np.where(fallback, 1.0, mean)

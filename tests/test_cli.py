@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gasnorm import SeriesFrame, load_csv, write_csv
+from gasnorm import GasParams, SeriesFrame, load_csv, write_csv
 from gasnorm.cli import experiment_spec_from_dict, main
 from gasnorm.datagen import ArSpec, LorenzSpec
 
@@ -200,6 +200,57 @@ class TestExperiment:
         assert isinstance(experiment_spec_from_dict(doc).dataset, LorenzSpec)
         doc["dataset"] = {"kind": "csv", "path": str(tmp_path / "x.csv")}
         assert experiment_spec_from_dict(doc).dataset == str(tmp_path / "x.csv")
+
+
+class TestInvalidInputExitsOne:
+    """Bad flags, files and parameters exit 1 with a message, never a traceback."""
+
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        code, _, err = run(["experiment", "--config", str(cfg), "--gamma", "0.3"], capsys)
+        assert code == 1
+        assert "--gamma" in err
+
+    def test_eval_rejects_dist(self, tmp_path, capsys):
+        code, _, err = run(
+            ["eval", "--actual", "a.csv", "--forecast", "f.csv", "--train", "t.csv",
+             "--dist", "gaussian"],
+            capsys,
+        )
+        assert code == 1
+        assert "--dist" in err
+
+    def test_bad_choice(self, small_csv, capsys):
+        code, _, err = run(["normalize", small_csv, "--normalizer", "bogus"], capsys)
+        assert code == 1
+        assert "bogus" in err
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run(["fit", missing, "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "missing.csv" in err
+
+    def test_config_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{not json")
+        code, _, err = run(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "not valid JSON" in err
+
+    def test_params_with_unknown_key(self, tmp_path, small_csv, capsys):
+        params = GasParams(family="gaussian").to_dict()
+        doc = {"y": {"params": {**params, "bogus": 1.0}, "objective": 0.0,
+                     "iterations": 0, "converged": False}}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["normalize", small_csv, "--params", str(path), "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "bogus" in err
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):

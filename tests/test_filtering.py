@@ -15,7 +15,6 @@ from gasnorm import (
     score_and_fim,
     update,
 )
-from gasnorm._recursions import filter_recursion_py
 from gasnorm.errors import ValidationError
 
 
@@ -189,16 +188,6 @@ class TestFilterSeries:
         with pytest.raises(ValidationError):
             filter_series(gaussian_params(), [])
 
-    def test_numba_and_python_paths_agree(self):
-        from gasnorm._recursions import filter_recursion
-
-        ys = np.random.default_rng(5).normal(size=500)
-        args = (ys, 1, 0.1, 0.2, 0.9, 0.8, 0.1, 0.2, 20.0, 1.0, 0.0, 1.0, 1e-8)
-        fast = filter_recursion(*args)
-        slow = filter_recursion_py(*args)
-        for a, b in zip(fast, slow):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
 
 class TestForecastStatistics:
     def test_beta_zero_collapses_to_omega(self):
@@ -240,6 +229,14 @@ class TestGasParams:
             dict(gamma=-0.1),
             dict(sigma2_0=0.0),
             dict(family=Family.STUDENT_T, nu=2.0),
+            dict(alpha_mu=np.nan),
+            dict(beta_sigma=np.nan),
+            dict(omega_sigma=-np.inf),
+            dict(mu0=np.nan),
+            dict(sigma2_0=np.inf),
+            dict(nu=np.inf),
+            dict(family=Family.GAUSSIAN, nu=np.nan),
+            dict(alpha_mu="0.1"),
         ],
     )
     def test_invariants_rejected(self, kw):

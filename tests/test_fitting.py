@@ -109,6 +109,13 @@ class TestFit:
         result = fit(ys, config)
         assert 2.1 <= result.params.nu <= 1000.0
 
+    def test_gamma_zero_fit_does_not_report_convergence(self):
+        # gamma = 0 makes the objective identically 0: no restart improves on the start
+        config = FitConfig(gamma=0.0, family=Family.GAUSSIAN, restarts=2, max_iters=50)
+        result = fit(iid_normal(), config)
+        assert result.converged is False
+        assert result.iterations == 0
+
     def test_too_short_errors(self):
         with pytest.raises(ValidationError):
             fit(np.ones(5), FitConfig())

@@ -248,6 +248,18 @@ class TestNormalizerSpec:
             NormalizerSpec(NormalizerKind.GLOBAL_NORM)
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+@pytest.mark.parametrize("kind", list(NormalizerKind))
+def test_horizon_below_one_rejected(kind, horizon):
+    spec = NormalizerSpec(
+        kind,
+        gas_params={"f0": static_params(3.0, 2.0)} if kind is NormalizerKind.GAS_NORM else None,
+        global_stats={"f0": (3.0, 2.0)} if kind is NormalizerKind.GLOBAL_NORM else None,
+    )
+    with pytest.raises(ValidationError, match="horizon"):
+        normalize(spec, np.arange(1.0, 6.0), horizon)
+
+
 def test_save_batch_files(tmp_path):
     ctx = np.random.default_rng(11).normal(size=(6, 2))
     batch = local_normalize(ctx, 2, ["a", "b"])
