@@ -4,6 +4,10 @@ Each step is a natural-gradient update of the prior state followed by
 the linear prediction step; ``filtering.filter_series`` and
 ``filtering.update`` both run through ``filter_recursion``.
 
+The loop runs on Python floats (``ys.tolist()``, ``GasParams`` fields)
+and fills lists that become arrays once at the end: numpy-scalar
+arithmetic gives the same IEEE-754 results at about twice the cost per step.
+
 Family codes: 0 = Gaussian, 1 = Student's t.
 The kernel returns a status: -1 on success, otherwise the index of the
 first timestep at which the state became non-finite.
@@ -44,11 +48,7 @@ def filter_recursion(
     conditional log-likelihood, the accumulated FIM-weighted squared
     update steps, and a status code.
     """
-    n = ys.shape[0]
-    mu_prior = np.empty(n)
-    s2_prior = np.empty(n)
-    mu_filt = np.empty(n)
-    s2_filt = np.empty(n)
+    mu_prior, s2_prior, mu_filt, s2_filt = [], [], [], []
     loglik = 0.0
     penalty = 0.0
     mu = mu0
@@ -61,10 +61,8 @@ def filter_recursion(
             - math.lgamma(0.5 * nu)
             - 0.5 * math.log(math.pi * nu)
         )
-    for t in range(n):
-        y = ys[t]
-        mu_prior[t] = mu
-        s2_prior[t] = s2
+    status = -1
+    for t, y in enumerate(ys.tolist()):
         r = y - mu
         if family == GAUSSIAN:
             loglik += -0.5 * _LOG_2PI - 0.5 * math.log(s2) - 0.5 * r * r / s2
@@ -88,13 +86,17 @@ def filter_recursion(
         d_mu = m_f - mu
         d_s2 = v_f - s2
         penalty += fim_mu * d_mu * d_mu + fim_s2 * d_s2 * d_s2
-        mu_filt[t] = m_f
-        s2_filt[t] = v_f
+        mu_prior.append(mu)
+        s2_prior.append(s2)
+        mu_filt.append(m_f)
+        s2_filt.append(v_f)
         mu = omega_mu + beta_mu * m_f
         s2 = omega_sigma + beta_sigma * v_f
         if s2 < floor:
             s2 = floor
         if not (math.isfinite(mu) and math.isfinite(s2) and math.isfinite(loglik)):
-            return mu_prior, s2_prior, mu_filt, s2_filt, loglik, penalty, t
-    return mu_prior, s2_prior, mu_filt, s2_filt, loglik, penalty, -1
+            status = t
+            break
+    arrays = [np.array(v) for v in (mu_prior, s2_prior, mu_filt, s2_filt)]
+    return (*arrays, loglik, penalty, status)
 

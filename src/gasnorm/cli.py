@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz, write_spec_sidecar
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_keys, from_keys
 from .evaluation import EvalReport, ExperimentSpec, emit_report, mase, run_experiment
 from .filtering import Family, GasParams
 from .fitting import FitConfig, fit_frame, fit_results_from_dict, fit_results_to_dict
@@ -47,7 +48,7 @@ def _read_json(path):
 
 
 def _load_config(args) -> dict:
-    return _read_json(args.config) if args.config else {}
+    return check_keys(_read_json(args.config), args.config) if args.config else {}
 
 
 def _out(args, name: str) -> str:
@@ -55,30 +56,31 @@ def _out(args, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
+_GENERATORS = {"ar": ArSpec, "lorenz": LorenzSpec}
+
+
+def _fields(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+_GEN_FIELDS = _fields(ArSpec) | _fields(LorenzSpec)
+
+
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
     kind = args.kind or cfg.get("kind")
-    if kind == "ar":
-        spec = ArSpec(
-            length=cfg.get("length", args.length),
-            ar_coeffs=tuple(cfg.get("ar_coeffs", args.ar_coeffs)),
-            noise_std=cfg.get("noise_std", args.noise_std),
-            season_amplitude=cfg.get("season_amplitude", args.season_amplitude),
-            season_period=cfg.get("season_period", args.season_period),
-            trend_slope=cfg.get("trend_slope", args.trend_slope),
-            seed=cfg.get("seed", args.seed),
-        )
-        frame = gen_ar(spec)
-    elif kind == "lorenz":
-        spec = LorenzSpec(
-            dt=cfg.get("dt", args.dt),
-            steps=cfg.get("steps", args.steps),
-            noise_std=cfg.get("noise_std"),
-            seed=cfg.get("seed", args.seed),
-        )
-        frame = gen_lorenz(spec)
-    else:
+    if kind not in _GENERATORS:
         raise ValidationError(f"unknown generator kind {kind!r}")
+    cls = _GENERATORS[kind]
+    # spec flags default to None, so the ones given are the ones that are set
+    flags = {k: v for k, v in vars(args).items() if k in _GEN_FIELDS and v is not None}
+    foreign = ["--" + k.replace("_", "-") for k in flags if k not in _fields(cls)]
+    if foreign:
+        raise ValidationError(f"gen {kind} does not read {', '.join(foreign)}")
+    config = {k: v for k, v in cfg.items() if k != "kind"}
+    spec = from_keys(cls, {**flags, **config}, f"gen {kind} config")
+    # called by module-level name, where perfbench's tracer wraps the generators
+    frame = gen_ar(spec) if kind == "ar" else gen_lorenz(spec)
     csv_path = _out(args, f"{kind}.csv")
     write_csv(frame, csv_path)
     write_spec_sidecar(spec, _out(args, f"{kind}.json"))
@@ -162,29 +164,17 @@ def _cmd_eval(args) -> int:
 
 
 def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
-    ds = doc["dataset"]
+    check_keys(doc, "experiment config", required=("dataset", "split"))
+    ds = check_keys(doc["dataset"], "dataset")
     kind = ds.get("kind", "csv")
-    if kind == "ar":
-        dataset = ArSpec(**{k: v for k, v in ds.items() if k != "kind"})
-    elif kind == "lorenz":
-        dataset = LorenzSpec(**{k: v for k, v in ds.items() if k != "kind"})
+    if kind in _GENERATORS:
+        values = {k: v for k, v in ds.items() if k != "kind"}
+        dataset = from_keys(_GENERATORS[kind], values, f"{kind} dataset")
     else:
-        dataset = ds["path"]
-    fc = doc.get("forecaster", {})
-    forecaster = MlpSpec(
-        tuple(fc.get("layer_widths", (64, 64))),
-        fc.get("activation", "relu"),
-        fc.get("learning_rate", 0.01),
-        fc.get("epochs", 100),
-        fc.get("batch_size", 32),
-        fc.get("seed", 0),
-    )
-    sp = doc["split"]
-    split_spec = SplitSpec(
-        sp["train_fraction"],
-        sp.get("val_fraction", 0.0),
-        sp["context_length"],
-        sp["horizon"],
+        dataset = check_keys(ds, "csv dataset", required=("path",))["path"]
+    forecaster = from_keys(MlpSpec, doc.get("forecaster", {}), "forecaster")
+    split_spec = from_keys(
+        SplitSpec, doc["split"], "split", ("train_fraction", "context_length", "horizon")
     )
     return ExperimentSpec(
         dataset=dataset,
@@ -223,18 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON config file; its keys override the flags")
     p.add_argument("--output-dir", default=".")
-    p.add_argument("kind", nargs="?", choices=["ar", "lorenz"])
-    p.add_argument("--length", type=int, default=1000)
-    p.add_argument("--ar-coeffs", type=float, nargs="*", default=[0.9])
-    p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--season-amplitude", type=float, default=0.0)
-    p.add_argument("--season-period", type=int, default=12)
-    p.add_argument("--trend-slope", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=5000)
+    p.add_argument("kind", nargs="?", choices=list(_GENERATORS))
+    p.add_argument("--length", type=int, help="ar only")
+    p.add_argument("--ar-coeffs", type=float, nargs="*", help="ar only")
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--season-amplitude", type=float, help="ar only")
+    p.add_argument("--season-period", type=int, help="ar only")
+    p.add_argument("--trend-slope", type=float, help="ar only")
+    p.add_argument("--dt", type=float, help="lorenz only")
+    p.add_argument("--steps", type=int, help="lorenz only")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("fit", help="fit filter parameters per feature")

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and key checks for parsed JSON.
 
 The CLI maps ValidationError (and unreadable files) to exit code 1 and
 NumericalError to exit code 2; everything else is a plain crash.
 """
+
+from dataclasses import fields
 
 
 class GasNormError(Exception):
@@ -23,3 +25,21 @@ class FitError(NumericalError):
     def __init__(self, message: str, diagnostics: list | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or []
+
+
+def check_keys(d, where: str, required=(), allowed=None) -> dict:
+    """Return ``d`` if it is a dict with every ``required`` key and none outside ``allowed``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValidationError(f"{where} is missing keys {missing}")
+    unknown = [] if allowed is None else sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys {unknown}")
+    return d
+
+
+def from_keys(cls, d, where: str, required=()):
+    """Build the dataclass ``cls`` from ``d``, naming any missing or unknown key."""
+    return cls(**check_keys(d, where, required, [f.name for f in fields(cls)]))

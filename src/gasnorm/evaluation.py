@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,8 +76,8 @@ class ExperimentSpec:
             "normalizers",
             tuple(dict.fromkeys(NormalizerKind(n) for n in self.normalizers)),
         )
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "gammas", tuple(dict.fromkeys(float(g) for g in self.gammas)))
+        object.__setattr__(self, "seeds", tuple(dict.fromkeys(int(s) for s in self.seeds)))
         if isinstance(self.family, str):
             object.__setattr__(self, "family", Family(self.family))
         if not self.seeds:
@@ -179,47 +179,51 @@ def _segment_mase(model, norm_pairs, train_values, m: int) -> float:
     return float(np.mean(per_feature))
 
 
-def _evaluate_cell(
+def _evaluate_normalizer(
     spec: ExperimentSpec,
     nspec: NormalizerSpec,
-    seed: int,
     train_pairs,
     val_pairs,
     test_pairs,
     names,
     train_values,
-) -> tuple[float | None, float]:
-    """Train the forecaster under one normalizer; returns (val_mase, test_mase)."""
+) -> tuple[dict[int, tuple[float | None, float]], str | None]:
+    """Normalize every window once, then train and score a forecaster per seed.
+
+    Normalization does not depend on the seed, so its errors propagate
+    and fail every seed at once. Returns ``{seed: (val_mase, test_mase)}``
+    for the seeds that trained, and the last training error message.
+    """
     h = spec.split.horizon
     norm_train = _normalized_pairs(nspec, train_pairs, h, names)
     norm_val = _normalized_pairs(nspec, val_pairs, h, names) if val_pairs else []
     norm_test = _normalized_pairs(nspec, test_pairs, h, names)
-    mlp_spec = MlpSpec(
-        spec.forecaster.layer_widths,
-        spec.forecaster.activation,
-        spec.forecaster.learning_rate,
-        spec.forecaster.epochs,
-        spec.forecaster.batch_size,
-        seed,
-    )
-    model = train(
-        mlp_spec,
-        [(x, r) for x, r, _, _ in norm_train],
-        [(x, r) for x, r, _, _ in norm_val] or None,
-    )
     m = spec.mase_seasonality
-    val = _segment_mase(model, norm_val, train_values, m) if norm_val else None
-    test = _segment_mase(model, norm_test, train_values, m)
-    return val, test
+    scores: dict[int, tuple[float | None, float]] = {}
+    error = None
+    for seed in spec.seeds:
+        try:
+            model = train(
+                replace(spec.forecaster, seed=seed),
+                [(x, r) for x, r, _, _ in norm_train],
+                [(x, r) for x, r, _, _ in norm_val] or None,
+            )
+            val = _segment_mase(model, norm_val, train_values, m) if norm_val else None
+            scores[seed] = (val, _segment_mase(model, norm_test, train_values, m))
+        except (ValidationError, ArithmeticError) as exc:
+            error = str(exc)
+    return scores, error
 
 
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
     """Fit, normalize, train and score every (normalizer, gamma, seed) cell.
 
-    For the adaptive normalizer, gamma is selected per seed on
-    validation MASE and an extra ``gas_norm_selected`` row reports the
-    test MASE at each seed's selection. Failures are recorded per cell;
-    completed cells still make it into the report.
+    Each (normalizer, gamma) normalizes its windows once and trains one
+    forecaster per seed on them. For the adaptive normalizer, gamma is
+    selected per seed on validation MASE and an extra
+    ``gas_norm_selected`` row reports the test MASE at each seed's
+    selection. Failures are recorded per cell; completed cells still
+    make it into the report.
     """
     data = load_dataset(spec.dataset)
     train_f, val_f, test_f = split(data, spec.split)
@@ -230,78 +234,58 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     val_pairs = windows(val_f, l, h, spec.stride) if len(val_f) >= l + h else []
     test_pairs = windows(test_f, l, h, spec.stride)
 
-    global_stats = {
-        n: (float(np.mean(train_f.feature(n))), float(np.var(train_f.feature(n))))
-        for n in names
-    }
-
-    gas_specs: dict[float, NormalizerSpec] = {}
-    if NormalizerKind.GAS_NORM in spec.normalizers:
-        for gamma in spec.gammas:
-            config = FitConfig(
-                gamma=gamma,
-                family=spec.family,
-                nu=spec.nu,
-                seed=spec.fit_seed,
-                restarts=spec.fit_restarts,
-                max_iters=spec.fit_max_iters,
-            )
-            results = fit_frame(train_f, config)
-            gas_specs[gamma] = NormalizerSpec(
-                NormalizerKind.GAS_NORM,
-                gas_params={n: r.params for n, r in results.items()},
-            )
+    nspecs: dict[tuple[str, float | None], NormalizerSpec] = {}
+    for kind in spec.normalizers:
+        if kind is NormalizerKind.GAS_NORM:
+            for gamma in spec.gammas:
+                config = FitConfig(
+                    gamma=gamma,
+                    family=spec.family,
+                    nu=spec.nu,
+                    seed=spec.fit_seed,
+                    restarts=spec.fit_restarts,
+                    max_iters=spec.fit_max_iters,
+                )
+                results = fit_frame(train_f, config)
+                nspecs[kind.value, gamma] = NormalizerSpec(
+                    kind, gas_params={n: r.params for n, r in results.items()}
+                )
+        elif kind is NormalizerKind.GLOBAL_NORM:
+            global_stats = {
+                n: (float(np.mean(train_f.feature(n))), float(np.var(train_f.feature(n))))
+                for n in names
+            }
+            nspecs[kind.value, None] = NormalizerSpec(kind, global_stats=global_stats)
+        else:
+            nspecs[kind.value, None] = NormalizerSpec(kind)
 
     cells: dict[tuple[str, float | None], list[float]] = {}
     cell_errors: dict[tuple[str, float | None], str] = {}
+    gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}
+    for key, nspec in nspecs.items():
+        try:
+            scores, error = _evaluate_normalizer(
+                spec, nspec, train_pairs, val_pairs, test_pairs, names, train_f.values
+            )
+        except (ValidationError, ArithmeticError) as exc:
+            cell_errors[key] = str(exc)
+            continue
+        if error is not None:
+            cell_errors[key] = error
+        if scores:
+            cells[key] = [test for _, test in scores.values()]
+        if nspec.kind is NormalizerKind.GAS_NORM:
+            gas_scores[key[1]] = scores
+
     selected_tests: list[float] = []
     selected_gammas: list[float] = []
-
-    def record(key, value):
-        cells.setdefault(key, []).append(value)
-
     for seed in spec.seeds:
-        for kind in spec.normalizers:
-            if kind is NormalizerKind.GAS_NORM:
-                val_by_gamma: dict[float, float] = {}
-                test_by_gamma: dict[float, float] = {}
-                for gamma in spec.gammas:
-                    key = (kind.value, gamma)
-                    try:
-                        val, test = _evaluate_cell(
-                            spec, gas_specs[gamma], seed,
-                            train_pairs, val_pairs, test_pairs, names, train_f.values,
-                        )
-                    except (ValidationError, ArithmeticError) as exc:
-                        cell_errors[key] = str(exc)
-                        continue
-                    record(key, test)
-                    test_by_gamma[gamma] = test
-                    if val is not None:
-                        val_by_gamma[gamma] = val
-                if test_by_gamma:
-                    chosen = (
-                        select_gamma(val_by_gamma)
-                        if val_by_gamma
-                        else min(test_by_gamma)
-                    )
-                    selected_gammas.append(chosen)
-                    selected_tests.append(test_by_gamma[chosen])
-            else:
-                key = (kind.value, None)
-                if kind is NormalizerKind.GLOBAL_NORM:
-                    nspec = NormalizerSpec(kind, global_stats=global_stats)
-                else:
-                    nspec = NormalizerSpec(kind)
-                try:
-                    _, test = _evaluate_cell(
-                        spec, nspec, seed,
-                        train_pairs, val_pairs, test_pairs, names, train_f.values,
-                    )
-                except (ValidationError, ArithmeticError) as exc:
-                    cell_errors[key] = str(exc)
-                    continue
-                record(key, test)
+        by_gamma = {g: s[seed] for g, s in gas_scores.items() if seed in s}
+        if by_gamma:
+            val_by_gamma = {g: val for g, (val, _) in by_gamma.items() if val is not None}
+            chosen = select_gamma(val_by_gamma) if val_by_gamma else min(by_gamma)
+            selected_gammas.append(chosen)
+            selected_tests.append(by_gamma[chosen][1])
 
     rows = []
     for (normalizer, gamma), values in cells.items():

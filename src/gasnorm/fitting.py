@@ -10,12 +10,12 @@ boundary without needing gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, check_keys
 from .filtering import Family, GasParams, filter_series
 from .series import SeriesFrame
 
@@ -61,6 +61,7 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
+        check_keys(d, "fit result", required=[f.name for f in fields(cls)])
         return cls(
             GasParams.from_dict(d["params"]),
             d["objective"],
@@ -148,6 +149,9 @@ def fit(ys, config: FitConfig) -> FitResult:
     init_objective = -negative(x0)
     if not np.isfinite(init_objective):
         raise FitError("objective is non-finite at the initialization point")
+    if config.gamma == 0.0:
+        # the objective is identically 0 at gamma = 0: no move can beat the initial point
+        return FitResult(_to_params(x0, template, fit_nu), init_objective, 0, False)
 
     rng = np.random.default_rng(config.seed)
     starts = [x0]
@@ -198,4 +202,4 @@ def fit_results_to_dict(results: dict[str, FitResult]) -> dict:
 
 
 def fit_results_from_dict(d: dict) -> dict[str, FitResult]:
-    return {name: FitResult.from_dict(v) for name, v in d.items()}
+    return {name: FitResult.from_dict(v) for name, v in check_keys(d, "fit results").items()}

@@ -43,6 +43,40 @@ class TestGen:
         assert code == 1
         assert "error:" in err
 
+    def test_lorenz_reads_noise_std(self, tmp_path, capsys):
+        written = {}
+        for name, extra in (("default", []), ("noisy", ["--noise-std", "5"])):
+            out_dir = tmp_path / name
+            code, out, _ = run(
+                ["gen", "lorenz", "--steps", "30", "--output-dir", str(out_dir), *extra],
+                capsys,
+            )
+            assert code == 0
+            written[name] = open(out.strip()).read()
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"kind": "lorenz", "steps": 30, "noise_std": 5}))
+        code, out, _ = run(
+            ["gen", "--config", str(cfg), "--output-dir", str(tmp_path / "config")], capsys
+        )
+        assert code == 0
+        assert written["noisy"] != written["default"]
+        assert written["noisy"] == open(out.strip()).read()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["lorenz", "--length", "50"], "--length"),
+            (["lorenz", "--trend-slope", "0.1"], "--trend-slope"),
+            (["ar", "--dt", "0.02"], "--dt"),
+            (["ar", "--steps", "10"], "--steps"),
+        ],
+    )
+    def test_flag_of_the_other_kind_exits_one(self, tmp_path, capsys, argv, flag):
+        code, _, err = run(["gen", *argv, "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert flag in err
+        assert not list(tmp_path.iterdir())
+
     def test_config_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"kind": "ar", "length": 17, "seed": 0}))
@@ -249,6 +283,38 @@ class TestInvalidInputExitsOne:
             ["normalize", small_csv, "--params", str(path), "--output-dir", str(tmp_path)],
             capsys,
         )
+        assert code == 1
+        assert "bogus" in err
+
+
+    @pytest.mark.parametrize("key", ["dataset", "split"])
+    def test_experiment_config_missing_key(self, tmp_path, capsys, key):
+        doc = TestExperiment().config_doc()
+        del doc[key]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert repr(key) in err
+
+    def test_params_entry_missing_params(self, tmp_path, small_csv, capsys):
+        doc = {"y": {"objective": 0.0, "iterations": 0, "converged": False}}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["normalize", small_csv, "--params", str(path), "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "'params'" in err
+
+    @pytest.mark.parametrize("kind", ["ar", "lorenz"])
+    def test_dataset_with_unknown_key(self, tmp_path, capsys, kind):
+        doc = TestExperiment().config_doc()
+        doc["dataset"] = {"kind": kind, "bogus": 1}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(["experiment", "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus" in err
 

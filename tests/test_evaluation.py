@@ -15,6 +15,7 @@ from gasnorm import (
     run_experiment,
     select_gamma,
 )
+import gasnorm.evaluation as evaluation_mod
 from gasnorm.errors import ValidationError
 from gasnorm.evaluation import ReportRow
 
@@ -122,6 +123,33 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert len(report.rows) == 1
         assert report.rows[0].n_seeds == 1
+
+    def test_multi_seed_run_matches_single_seed_runs(self):
+        spec = dict(normalizers=("gas_norm", "local_norm"), gammas=(0.0, 0.5))
+        both = run_experiment(tiny_spec(seeds=(0, 1), **spec))
+        alone = [run_experiment(tiny_spec(seeds=(s,), **spec)) for s in (0, 1)]
+        for row in both.rows:
+            # the selected row's gamma is the modal choice, which may differ per run
+            gamma = None if row.normalizer == "gas_norm_selected" else row.gamma
+            singles = tuple(r.row(row.normalizer, gamma).per_seed[0] for r in alone)
+            assert row.per_seed == singles
+
+    def test_normalize_calls_do_not_depend_on_seed_count(self, monkeypatch):
+        calls = []
+        real = evaluation_mod.normalize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation_mod, "normalize", counted)
+        counts = []
+        for seeds in ((0,), (0, 1, 2)):
+            calls.clear()
+            run_experiment(tiny_spec(normalizers=("gas_norm", "local_norm"), seeds=seeds))
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
 
     def test_stderr_over_seeds(self):
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from gasnorm import (
     score_and_fim,
     update,
 )
+from gasnorm._recursions import filter_recursion
 from gasnorm.errors import ValidationError
 
 
@@ -155,6 +158,53 @@ class TestFilterSeries:
             np.testing.assert_allclose(trace.sigma2_filt, filt[:, 1], atol=1e-12)
             assert trace.loglik == pytest.approx(loglik, abs=1e-10)
 
+    @given(
+        ys=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30),
+        family=st.sampled_from(list(Family)),
+        alpha=st.floats(0.0, 0.5),
+        beta=st.floats(0.0, 0.99),
+        gamma=st.floats(0.0, 0.9),
+        nu=st.floats(2.5, 50.0),
+        mu0=st.floats(-2.0, 2.0),
+        sigma2_0=st.floats(0.05, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_scalar_params_give_bit_identical_traces(
+        self, ys, family, alpha, beta, gamma, nu, mu0, sigma2_0
+    ):
+        kw = dict(
+            alpha_mu=alpha, alpha_sigma=0.5 * alpha, beta_mu=beta, beta_sigma=beta,
+            omega_mu=0.1, omega_sigma=0.2, nu=nu, gamma=gamma, mu0=mu0, sigma2_0=sigma2_0,
+        )
+        plain = filter_series(GasParams(family=family, **kw), ys)
+        as_numpy = {k: np.float64(v) for k, v in kw.items()}
+        from_numpy = filter_series(GasParams(family=family, **as_numpy), np.array(ys))
+        # the kernel itself, fed numpy scalars the way an optimizer's array would
+        raw = filter_recursion(
+            np.array(ys), family.code,
+            *(as_numpy[k] for k in ("alpha_mu", "alpha_sigma", "beta_mu", "beta_sigma",
+                                    "omega_mu", "omega_sigma", "nu")),
+            np.float64(gamma) / (1.0 - np.float64(gamma)), as_numpy["mu0"],
+            max(as_numpy["sigma2_0"], np.float64(VARIANCE_FLOOR)), VARIANCE_FLOOR,
+        )
+
+        def bits(trace):
+            values = (trace.mu_prior, trace.sigma2_prior, trace.mu_filt, trace.sigma2_filt,
+                      trace.loglik, trace.penalty)
+            return [np.asarray(v).tobytes() for v in values]
+
+        assert bits(from_numpy) == bits(plain)
+        assert [np.asarray(v).tobytes() for v in raw[:6]] == bits(plain)
+        prior, filt, loglik, penalty = naive_filter(
+            ys, "gaussian" if family is Family.GAUSSIAN else "t", **kw
+        )
+        np.testing.assert_allclose(plain.mu_prior, prior[:, 0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(plain.sigma2_prior, prior[:, 1], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(plain.mu_filt, filt[:, 0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(plain.sigma2_filt, filt[:, 1], rtol=1e-10, atol=1e-12)
+        assert plain.loglik == pytest.approx(loglik, rel=1e-10, abs=1e-9)
+        assert plain.penalty == pytest.approx(penalty, rel=1e-10, abs=1e-9)
+
     def test_limit_equivalence_student_t_to_gaussian(self):
         rng = np.random.default_rng(1)
         ys = np.clip(rng.normal(scale=3.0, size=1000), -10, 10)
@@ -218,6 +268,16 @@ class TestGasParams:
         p = GasParams(alpha_mu=0.3, nu=20.0, family=Family.STUDENT_T, gamma=0.25)
         assert GasParams.from_dict(p.to_dict()) == p
         assert p.to_dict()["family"] == "student_t"
+
+    def test_numpy_scalars_are_held_as_floats(self):
+        values = dict(alpha_mu=0.1, alpha_sigma=0.2, beta_mu=0.9, beta_sigma=0.8,
+                      omega_mu=0.05, omega_sigma=0.1, nu=10.0, gamma=0.3, mu0=1.5,
+                      sigma2_0=2.0)
+        p = GasParams(**{k: np.float64(v) for k, v in values.items()})
+        for f in fields(GasParams):
+            if f.name != "family":
+                assert type(getattr(p, f.name)) is float
+        assert p == GasParams(**values)
 
     @pytest.mark.parametrize(
         "kw",

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import gasnorm.fitting as fitting_mod
 
 from gasnorm import (
     ArSpec,
@@ -115,6 +119,26 @@ class TestFit:
         result = fit(iid_normal(), config)
         assert result.converged is False
         assert result.iterations == 0
+
+    def test_gamma_zero_returns_clipped_initial_point_in_one_evaluation(self, monkeypatch):
+        evaluated = []
+
+        def counted(params, ys):
+            evaluated.append(params)
+            return penalized_objective(params, ys)
+
+        monkeypatch.setattr(fitting_mod, "penalized_objective", counted)
+        ys = iid_normal(150, seed=4) * 2.0 + 1.0
+        # both bounds exclude the moment-matched start (alpha 0.05, beta 0.95)
+        config = FitConfig(gamma=0.0, restarts=3,
+                           bounds={"alpha_mu": (0.2, 2.0), "beta_sigma": (0.0, 0.5)})
+        result = fit(ys, config)
+        start = _initial_params(config, float(np.mean(ys)), float(np.var(ys)))
+        expected = replace(start, alpha_mu=0.2, beta_sigma=0.5)
+        assert evaluated == [expected]
+        assert result.params == expected
+        assert result.objective == 0.0
+        assert (result.iterations, result.converged) == (0, False)
 
     def test_too_short_errors(self):
         with pytest.raises(ValidationError):
