@@ -164,7 +164,7 @@ def _cmd_eval(args) -> int:
 
 
 def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
-    check_keys(doc, "experiment config", required=("dataset", "split"))
+    check_keys(doc, "experiment config", ("dataset", "split"), _fields(ExperimentSpec))
     ds = check_keys(doc["dataset"], "dataset")
     kind = ds.get("kind", "csv")
     if kind in _GENERATORS:

@@ -41,5 +41,14 @@ def check_keys(d, where: str, required=(), allowed=None) -> dict:
 
 
 def from_keys(cls, d, where: str, required=()):
-    """Build the dataclass ``cls`` from ``d``, naming any missing or unknown key."""
-    return cls(**check_keys(d, where, required, [f.name for f in fields(cls)]))
+    """Build the dataclass ``cls`` from ``d``, naming any missing or unknown key.
+
+    A value of the wrong type, such as a string where a number belongs,
+    fails the dataclass's own checks with a TypeError; it is reported as
+    invalid input under ``where``.
+    """
+    kwargs = check_keys(d, where, required, [f.name for f in fields(cls)])
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ValidationError(f"{where}: {exc}") from None

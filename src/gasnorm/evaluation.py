@@ -193,12 +193,16 @@ def _evaluate_normalizer(
     Normalization does not depend on the seed, so its errors propagate
     and fail every seed at once. Returns ``{seed: (val_mase, test_mase)}``
     for the seeds that trained, and the last training error message.
+    Only gas_norm's gamma selection reads the validation MASE, so the
+    other normalizers leave it None; their validation windows still
+    drive early stopping.
     """
     h = spec.split.horizon
     norm_train = _normalized_pairs(nspec, train_pairs, h, names)
     norm_val = _normalized_pairs(nspec, val_pairs, h, names) if val_pairs else []
     norm_test = _normalized_pairs(nspec, test_pairs, h, names)
     m = spec.mase_seasonality
+    score_val = bool(norm_val) and nspec.kind is NormalizerKind.GAS_NORM
     scores: dict[int, tuple[float | None, float]] = {}
     error = None
     for seed in spec.seeds:
@@ -208,7 +212,7 @@ def _evaluate_normalizer(
                 [(x, r) for x, r, _, _ in norm_train],
                 [(x, r) for x, r, _, _ in norm_val] or None,
             )
-            val = _segment_mase(model, norm_val, train_values, m) if norm_val else None
+            val = _segment_mase(model, norm_val, train_values, m) if score_val else None
             scores[seed] = (val, _segment_mase(model, norm_test, train_values, m))
         except (ValidationError, ArithmeticError) as exc:
             error = str(exc)

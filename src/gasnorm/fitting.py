@@ -5,15 +5,19 @@ against an information-weighted penalty on how far each update step
 moved the state, weighted gamma vs (1 - gamma). It is maximized per
 feature with a bounded Nelder-Mead simplex search and multiplicative
 multi-start, which copes with the non-smoothness near the stability
-boundary without needing gradients.
+boundary without needing gradients. The restarts are independent and
+run in parallel worker processes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import Bounds, OptimizeResult, minimize
 
 from .errors import FitError, ValidationError, check_keys
 from .filtering import Family, GasParams, filter_series
@@ -50,6 +54,7 @@ class FitResult:
     objective: float
     iterations: int
     converged: bool
+    evaluations: int  # objective evaluations: the initial point plus every restart's
 
     def to_dict(self) -> dict:
         return {
@@ -57,6 +62,7 @@ class FitResult:
             "objective": self.objective,
             "iterations": self.iterations,
             "converged": self.converged,
+            "evaluations": self.evaluations,
         }
 
     @classmethod
@@ -67,6 +73,7 @@ class FitResult:
             d["objective"],
             d["iterations"],
             d["converged"],
+            d["evaluations"],
         )
 
 
@@ -116,13 +123,51 @@ def _to_params(x: np.ndarray, template: GasParams, fit_nu: bool) -> GasParams:
     return replace(template, **kwargs)
 
 
+def _negative(x: np.ndarray, template: GasParams, fit_nu: bool, ys: np.ndarray) -> float:
+    try:
+        return -penalized_objective(_to_params(x, template, fit_nu), ys)
+    except (ValidationError, ArithmeticError):
+        return np.inf
+
+
+def _nelder_mead(task) -> OptimizeResult:
+    """One bounded Nelder-Mead run; module-level so that a worker process can run it."""
+    start, lo, hi, max_iters, args = task
+    return minimize(
+        _negative,
+        start,
+        args=args,
+        method="Nelder-Mead",
+        bounds=Bounds(lo, hi),
+        options={"maxiter": max_iters, "xatol": 1e-6, "fatol": 1e-8},
+    )
+
+
+def _run_restarts(tasks: list) -> list[OptimizeResult]:
+    """Results of ``_nelder_mead`` for every task, in task order.
+
+    The tasks run in forked worker processes, one per usable core and at
+    most one per task; a spawned or forkserver worker would re-import numpy
+    and scipy, which costs about as much as one restart. With one worker,
+    or where fork is unavailable, they run in this process.
+    """
+    workers = 1
+    if "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity"):
+        workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return list(map(_nelder_mead, tasks))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_nelder_mead, tasks))
+
+
 def fit(ys, config: FitConfig) -> FitResult:
     """Maximize the penalized objective for one feature's training series.
 
     The initial state is pinned to the training-set unconditional mean
     and (floored) variance. Restarts perturb the initial point by up to
-    +/-50% multiplicatively; the returned objective never falls below
-    the one at the unperturbed initialization.
+    +/-50% multiplicatively and run in parallel worker processes, one per
+    usable core; the returned objective never falls below the one at the
+    unperturbed initialization.
     """
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if ys.size < 10:
@@ -140,18 +185,12 @@ def fit(ys, config: FitConfig) -> FitResult:
     x0 = np.array([getattr(template, n) for n in names])
     x0 = np.clip(x0, lo, hi)
 
-    def negative(x: np.ndarray) -> float:
-        try:
-            return -penalized_objective(_to_params(x, template, fit_nu), ys)
-        except (ValidationError, ArithmeticError):
-            return np.inf
-
-    init_objective = -negative(x0)
+    init_objective = -_negative(x0, template, fit_nu, ys)
     if not np.isfinite(init_objective):
         raise FitError("objective is non-finite at the initialization point")
     if config.gamma == 0.0:
         # the objective is identically 0 at gamma = 0: no move can beat the initial point
-        return FitResult(_to_params(x0, template, fit_nu), init_objective, 0, False)
+        return FitResult(_to_params(x0, template, fit_nu), init_objective, 0, False, 1)
 
     rng = np.random.default_rng(config.seed)
     starts = [x0]
@@ -159,21 +198,20 @@ def fit(ys, config: FitConfig) -> FitResult:
         factors = rng.uniform(0.5, 1.5, size=x0.shape)
         starts.append(np.clip(x0 * factors, lo, hi))
 
+    args = (template, fit_nu, ys)
+    results = _run_restarts([(start, lo, hi, config.max_iters, args) for start in starts])
+
     # the initial point was not reached by an optimizer, so it has not converged
     best = (init_objective, x0, 0, False)
-    for start in starts:
-        res = minimize(
-            negative,
-            start,
-            method="Nelder-Mead",
-            bounds=Bounds(lo, hi),
-            options={"maxiter": config.max_iters, "xatol": 1e-6, "fatol": 1e-8},
-        )
+    for res in results:
         if np.isfinite(res.fun) and -res.fun > best[0]:
             best = (-res.fun, res.x, int(res.nit), bool(res.success))
 
     objective, x, iterations, converged = best
-    return FitResult(_to_params(x, template, fit_nu), objective, iterations, converged)
+    evaluations = 1 + sum(int(res.nfev) for res in results)
+    return FitResult(
+        _to_params(x, template, fit_nu), objective, iterations, converged, evaluations
+    )
 
 
 def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:

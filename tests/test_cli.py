@@ -276,7 +276,7 @@ class TestInvalidInputExitsOne:
     def test_params_with_unknown_key(self, tmp_path, small_csv, capsys):
         params = GasParams(family="gaussian").to_dict()
         doc = {"y": {"params": {**params, "bogus": 1.0}, "objective": 0.0,
-                     "iterations": 0, "converged": False}}
+                     "iterations": 0, "converged": False, "evaluations": 1}}
         path = tmp_path / "params.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(
@@ -298,7 +298,7 @@ class TestInvalidInputExitsOne:
         assert repr(key) in err
 
     def test_params_entry_missing_params(self, tmp_path, small_csv, capsys):
-        doc = {"y": {"objective": 0.0, "iterations": 0, "converged": False}}
+        doc = {"y": {"objective": 0.0, "iterations": 0, "converged": False, "evaluations": 1}}
         path = tmp_path / "params.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(
@@ -307,6 +307,46 @@ class TestInvalidInputExitsOne:
         )
         assert code == 1
         assert "'params'" in err
+
+    def test_params_entry_without_evaluations(self, tmp_path, small_csv, capsys):
+        # params files written before the evaluation count was recorded
+        params = GasParams(family="gaussian").to_dict()
+        doc = {"y": {"params": params, "objective": 0.0, "iterations": 0, "converged": False}}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["normalize", small_csv, "--params", str(path), "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "'evaluations'" in err
+
+    def test_experiment_config_with_unknown_key(self, tmp_path, capsys):
+        doc = TestExperiment().config_doc()
+        doc["gamma"] = [0.9]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "'gamma'" in err
+
+    def test_gen_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"kind": "ar", "length": "abc"}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(["gen", "--config", str(cfg), "--output-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert "gen ar config" in err
+        assert not out_dir.exists()
+
+    def test_split_value_of_wrong_type(self, tmp_path, capsys):
+        doc = TestExperiment().config_doc()
+        doc["split"]["context_length"] = "20"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "split" in err
 
     @pytest.mark.parametrize("kind", ["ar", "lorenz"])
     def test_dataset_with_unknown_key(self, tmp_path, capsys, kind):

@@ -17,7 +17,8 @@ from gasnorm import (
 )
 import gasnorm.evaluation as evaluation_mod
 from gasnorm.errors import ValidationError
-from gasnorm.evaluation import ReportRow
+from gasnorm.evaluation import ReportRow, load_dataset
+from gasnorm.series import split, windows
 
 
 class TestMase:
@@ -150,6 +151,29 @@ class TestRunExperiment:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    def test_baselines_score_no_validation_windows(self, monkeypatch):
+        predicted, val_given = [], []
+        real_predict, real_train = evaluation_mod.predict, evaluation_mod.train
+
+        def counted_predict(*args, **kwargs):
+            predicted.append(1)
+            return real_predict(*args, **kwargs)
+
+        def recorded_train(spec, pairs, val_pairs=None):
+            val_given.append(bool(val_pairs))
+            return real_train(spec, pairs, val_pairs)
+
+        monkeypatch.setattr(evaluation_mod, "predict", counted_predict)
+        monkeypatch.setattr(evaluation_mod, "train", recorded_train)
+        spec = tiny_spec(normalizers=("global_norm", "local_norm"), seeds=(0, 1))
+        run_experiment(spec)
+        _, _, test_f = split(load_dataset(spec.dataset), spec.split)
+        test_windows = windows(test_f, spec.split.context_length, spec.split.horizon,
+                               spec.stride)
+        # one predict per test window per (normalizer, seed); validation only stops training
+        assert len(predicted) == 2 * 2 * len(test_windows)
+        assert val_given == [True] * 4
 
     def test_stderr_over_seeds(self):
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))

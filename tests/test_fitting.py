@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,19 @@ class TestPenalizedObjective:
         obj = penalized_objective(p, [0.7])
         trace = filter_series(p, [0.7])
         assert obj == pytest.approx(0.5 * trace.loglik - 0.25 * trace.penalty)
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Counts the objective evaluations made in this process (workers keep their own)."""
+    calls = []
+
+    def counted(params, ys):
+        calls.append(1)
+        return penalized_objective(params, ys)
+
+    monkeypatch.setattr(fitting_mod, "penalized_objective", counted)
+    return calls
 
 
 class TestFit:
@@ -138,7 +152,28 @@ class TestFit:
         assert evaluated == [expected]
         assert result.params == expected
         assert result.objective == 0.0
-        assert (result.iterations, result.converged) == (0, False)
+        assert (result.iterations, result.converged, result.evaluations) == (0, False, 1)
+
+    def test_evaluations_count_every_objective_call(self, monkeypatch, objective_calls):
+        # one usable core: every restart runs in this process, where calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=3, max_iters=60)
+        result = fit(iid_normal(120, seed=8), config)
+        assert result.evaluations == len(objective_calls) > 1
+
+    def test_worker_processes_give_the_in_process_result(self, monkeypatch, objective_calls):
+        ys = gen_ar(ArSpec(length=150, trend_slope=0.05, seed=2)).values[:, 0]
+        config = FitConfig(gamma=0.4, family=Family.STUDENT_T, nu=20.0,
+                           restarts=3, seed=5, max_iters=120)
+        results, parent_calls = [], []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            objective_calls.clear()
+            results.append(fit(ys, config))
+            parent_calls.append(len(objective_calls))
+        assert results[0] == results[1]
+        # with two cores the restarts ran in workers: only the initial point ran here
+        assert parent_calls == [results[0].evaluations, 1]
 
     def test_too_short_errors(self):
         with pytest.raises(ValidationError):
