@@ -176,21 +176,14 @@ def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
     split_spec = from_keys(
         SplitSpec, doc["split"], "split", ("train_fraction", "context_length", "horizon")
     )
-    return ExperimentSpec(
-        dataset=dataset,
-        normalizers=tuple(doc.get("normalizers", ["gas_norm", "global_norm"])),
-        forecaster=forecaster,
-        split=split_spec,
-        gammas=tuple(doc.get("gammas", (0.0, 0.1, 0.5))),
-        seeds=tuple(doc.get("seeds", (0,))),
-        mase_seasonality=doc.get("mase_seasonality", 1),
-        family=doc.get("family", "student_t"),
-        nu=doc.get("nu", 100.0),
-        fit_seed=doc.get("fit_seed", 0),
-        fit_restarts=doc.get("fit_restarts", 2),
-        fit_max_iters=doc.get("fit_max_iters", 300),
-        stride=doc.get("stride", 1),
-    )
+    values = {
+        "normalizers": ["gas_norm", "global_norm"],
+        **doc,
+        "dataset": dataset,
+        "forecaster": forecaster,
+        "split": split_spec,
+    }
+    return from_keys(ExperimentSpec, values, "experiment config")
 
 
 def _cmd_experiment(args) -> int:

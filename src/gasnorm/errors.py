@@ -43,12 +43,15 @@ def check_keys(d, where: str, required=(), allowed=None) -> dict:
 def from_keys(cls, d, where: str, required=()):
     """Build the dataclass ``cls`` from ``d``, naming any missing or unknown key.
 
-    A value of the wrong type, such as a string where a number belongs,
-    fails the dataclass's own checks with a TypeError; it is reported as
-    invalid input under ``where``.
+    A value of the wrong type or outside its set, such as a string where
+    a number belongs or an unknown enum name, fails the dataclass's own
+    checks with a TypeError or ValueError; it is reported as invalid
+    input under ``where``.
     """
     kwargs = check_keys(d, where, required, [f.name for f in fields(cls)])
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -70,6 +71,16 @@ class ExperimentSpec:
     stride: int = 1
 
     def __post_init__(self):
+        for name in ("normalizers", "gammas", "seeds"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {getattr(self, name)!r}")
+        for name, low in (("stride", 1), ("mase_seasonality", 1), ("fit_restarts", 1),
+                          ("fit_max_iters", 1), ("fit_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        if isinstance(self.nu, bool) or not isinstance(self.nu, Real) or not np.isfinite(self.nu):
+            raise ValidationError(f"nu must be a finite number, got {self.nu!r}")
         # duplicates are dropped: repeated entries would only repeat identical cells
         object.__setattr__(
             self,
@@ -158,38 +169,26 @@ def load_dataset(dataset) -> SeriesFrame:
     return load_csv(dataset)
 
 
-def _normalized_pairs(nspec: NormalizerSpec, pairs, horizon: int, names):
-    """Normalize each window and express targets as horizon residuals."""
-    out = []
-    for ctx, tgt in pairs:
-        batch = normalize(nspec, ctx, horizon, names)
-        residual = (tgt - batch.horizon_mu) / batch.horizon_scale
-        out.append((batch.normalized_context, residual, batch, tgt))
-    return out
+def _normalized_segment(nspec: NormalizerSpec, win: np.ndarray, l: int, h: int, names):
+    """(batch, residual targets, targets) of a segment's (W, l+h, k) windows, in one call."""
+    batch = normalize(nspec, win[:, :l], h, names)
+    return batch, (win[:, l:] - batch.horizon_mu) / batch.horizon_scale, win[:, l:]
 
 
-def _segment_mase(model, norm_pairs, train_values, m: int) -> float:
-    forecasts = []
-    actuals = []
-    for x, _, batch, tgt in norm_pairs:
-        residual = predict(model, x)
-        forecasts.append(denormalize(residual, batch))
-        actuals.append(tgt)
-    per_feature = mase(np.vstack(actuals), np.vstack(forecasts), train_values, m)
+def _segment_mase(model, segment, train_values, m: int) -> float:
+    batch, _, targets = segment
+    forecast = denormalize(predict(model, batch.normalized_context), batch)
+    k = targets.shape[-1]
+    per_feature = mase(targets.reshape(-1, k), forecast.reshape(-1, k), train_values, m)
     return float(np.mean(per_feature))
 
 
 def _evaluate_normalizer(
-    spec: ExperimentSpec,
-    nspec: NormalizerSpec,
-    train_pairs,
-    val_pairs,
-    test_pairs,
-    names,
-    train_values,
+    spec: ExperimentSpec, nspec: NormalizerSpec, segments, names, train_values
 ) -> tuple[dict[int, tuple[float | None, float]], str | None]:
-    """Normalize every window once, then train and score a forecaster per seed.
+    """Normalize each segment's windows once, then train and score a forecaster per seed.
 
+    ``segments`` are the train, val (None if too short) and test windows.
     Normalization does not depend on the seed, so its errors propagate
     and fail every seed at once. Returns ``{seed: (val_mase, test_mase)}``
     for the seeds that trained, and the last training error message.
@@ -197,23 +196,24 @@ def _evaluate_normalizer(
     other normalizers leave it None; their validation windows still
     drive early stopping.
     """
-    h = spec.split.horizon
-    norm_train = _normalized_pairs(nspec, train_pairs, h, names)
-    norm_val = _normalized_pairs(nspec, val_pairs, h, names) if val_pairs else []
-    norm_test = _normalized_pairs(nspec, test_pairs, h, names)
+    l, h = spec.split.context_length, spec.split.horizon
+    train_s, val_s, test_s = [
+        None if win is None else _normalized_segment(nspec, win, l, h, names) for win in segments
+    ]
     m = spec.mase_seasonality
-    score_val = bool(norm_val) and nspec.kind is NormalizerKind.GAS_NORM
+    score_val = val_s is not None and nspec.kind is NormalizerKind.GAS_NORM
     scores: dict[int, tuple[float | None, float]] = {}
     error = None
     for seed in spec.seeds:
         try:
             model = train(
                 replace(spec.forecaster, seed=seed),
-                [(x, r) for x, r, _, _ in norm_train],
-                [(x, r) for x, r, _, _ in norm_val] or None,
+                train_s[0].normalized_context,
+                train_s[1],
+                None if val_s is None else (val_s[0].normalized_context, val_s[1]),
             )
-            val = _segment_mase(model, norm_val, train_values, m) if score_val else None
-            scores[seed] = (val, _segment_mase(model, norm_test, train_values, m))
+            val = _segment_mase(model, val_s, train_values, m) if score_val else None
+            scores[seed] = (val, _segment_mase(model, test_s, train_values, m))
         except (ValidationError, ArithmeticError) as exc:
             error = str(exc)
     return scores, error
@@ -222,9 +222,9 @@ def _evaluate_normalizer(
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
     """Fit, normalize, train and score every (normalizer, gamma, seed) cell.
 
-    Each (normalizer, gamma) normalizes its windows once and trains one
-    forecaster per seed on them. For the adaptive normalizer, gamma is
-    selected per seed on validation MASE and an extra
+    Each (normalizer, gamma) normalizes each segment's windows as one
+    stack and trains one forecaster per seed on them. For the adaptive
+    normalizer, gamma is selected per seed on validation MASE and an extra
     ``gas_norm_selected`` row reports the test MASE at each seed's
     selection. Failures are recorded per cell; completed cells still
     make it into the report.
@@ -234,9 +234,11 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     l, h = spec.split.context_length, spec.split.horizon
     names = data.feature_names
 
-    train_pairs = windows(train_f, l, h, spec.stride)
-    val_pairs = windows(val_f, l, h, spec.stride) if len(val_f) >= l + h else []
-    test_pairs = windows(test_f, l, h, spec.stride)
+    segments = (
+        windows(train_f, l, h, spec.stride),
+        windows(val_f, l, h, spec.stride) if len(val_f) >= l + h else None,
+        windows(test_f, l, h, spec.stride),
+    )
 
     nspecs: dict[tuple[str, float | None], NormalizerSpec] = {}
     for kind in spec.normalizers:
@@ -268,9 +270,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}
     for key, nspec in nspecs.items():
         try:
-            scores, error = _evaluate_normalizer(
-                spec, nspec, train_pairs, val_pairs, test_pairs, names, train_f.values
-            )
+            scores, error = _evaluate_normalizer(spec, nspec, segments, names, train_f.values)
         except (ValidationError, ArithmeticError) as exc:
             cell_errors[key] = str(exc)
             continue

@@ -1,7 +1,8 @@
 """Small numpy MLP residual forecaster with hand-rolled backprop.
 
-Consumes a normalized context window (flattened) and emits the horizon
-residuals that denormalization recombines with the filter's forecast.
+Consumes normalized context windows (each flattened) and emits the
+horizon residuals that denormalization recombines with the filter's
+forecast. Windows come stacked: contexts (W, L, k), targets (W, h, k).
 With identity activations the whole network collapses to one affine
 map, which is the linear baseline used in the shift experiments.
 """
@@ -132,31 +133,29 @@ def _backward(weights, activation, acts, pre, targets):
     return grads_w, grads_b
 
 
-def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray, tuple[int, int], tuple[int, int]]:
-    if not pairs:
-        raise ValidationError("need at least one (context, target) pair")
-    ctx0 = np.atleast_2d(np.asarray(pairs[0][0], dtype=np.float64))
-    tgt0 = np.atleast_2d(np.asarray(pairs[0][1], dtype=np.float64))
-    X = np.stack([np.atleast_2d(np.asarray(c, dtype=np.float64)).ravel() for c, _ in pairs])
-    Y = np.stack([np.atleast_2d(np.asarray(t, dtype=np.float64)).ravel() for _, t in pairs])
-    return X, Y, ctx0.shape, tgt0.shape
+def _rows(contexts, targets) -> tuple[np.ndarray, np.ndarray]:
+    """(W, L, k) contexts and (W, h, k) targets as C-ordered (W, L*k) and (W, h*k) rows."""
+    X, Y = (np.ascontiguousarray(a, dtype=np.float64) for a in (contexts, targets))
+    if X.ndim != 3 or Y.ndim != 3 or len(X) != len(Y) or not len(X):
+        raise ValidationError(f"need (W, L, k) contexts, (W, h, k) targets: {X.shape}, {Y.shape}")
+    return X.reshape(len(X), -1), Y.reshape(len(Y), -1)
 
 
-def train(spec: MlpSpec, pairs, val_pairs=None, patience: int = 10) -> TrainedModel:
-    """Mini-batch SGD on MSE; deterministic given the seed.
+def train(spec: MlpSpec, contexts, targets, val=None, patience: int = 10) -> TrainedModel:
+    """Mini-batch SGD on MSE of (W, L, k) contexts to (W, h, k) targets; seeded.
 
-    When validation pairs are supplied, training stops once validation
-    MSE has not improved for ``patience`` consecutive epochs and the
-    best-validation weights are returned; otherwise it runs the full
-    epoch budget.
+    When ``val``, a (contexts, targets) pair, is supplied, training stops
+    once validation MSE has not improved for ``patience`` consecutive
+    epochs and the best-validation weights are returned; otherwise it
+    runs the full epoch budget.
     """
-    X, Y, in_shape, out_shape = _stack_pairs(pairs)
+    X, Y = _rows(contexts, targets)
     rng = np.random.default_rng(spec.seed)
     weights, biases = init_layers(spec, X.shape[1], Y.shape[1], rng)
 
     Xv = Yv = None
-    if val_pairs:
-        Xv, Yv, _, _ = _stack_pairs(val_pairs)
+    if val is not None:
+        Xv, Yv = _rows(*val)
     best_val = np.inf
     best_snapshot = None
     stall = 0
@@ -191,21 +190,26 @@ def train(spec: MlpSpec, pairs, val_pairs=None, patience: int = 10) -> TrainedMo
     if best_snapshot is not None:
         weights, biases = best_snapshot
     return TrainedModel(
-        weights, biases, spec, np.asarray(losses), in_shape, out_shape
+        weights, biases, spec, np.asarray(losses), np.shape(contexts)[1:], np.shape(targets)[1:]
     )
 
 
 def predict(model: TrainedModel, context) -> np.ndarray:
-    """Pure feedforward evaluation of one context window."""
+    """Feedforward evaluation: an (L, k) window gives (h, k), a (W, L, k) stack (W, h, k)."""
     ctx = np.atleast_2d(np.asarray(context, dtype=np.float64))
-    if ctx.shape != model.input_shape:
+    single = ctx.shape == model.input_shape
+    stack = ctx[None] if single else ctx
+    if stack.shape[1:] != model.input_shape:
         raise ValidationError(
             f"context shape {ctx.shape} does not match model input {model.input_shape}"
         )
-    acts, _ = _forward(
-        model.weights, model.biases, model.spec.activation, ctx.ravel()[None, :]
-    )
-    return acts[-1].reshape(model.output_shape)
+    # Each window is its own (1, n) row: a (W, n) @ (n, m) product goes through
+    # gemm, whose sums differ from the one-row product in the last bits, while
+    # a (W, 1, n) stack runs the one-row product per window, bit for bit.
+    rows = stack.reshape(len(stack), 1, -1)
+    acts, _ = _forward(model.weights, model.biases, model.spec.activation, rows)
+    out = acts[-1].reshape(len(stack), *model.output_shape)
+    return out[0] if single else out
 
 
 def collapse_linear(model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:

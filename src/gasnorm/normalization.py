@@ -1,11 +1,13 @@
-"""Normalize a context window, denormalize a horizon forecast.
+"""Normalize context windows, denormalize horizon forecasts.
 
 All four normalizers share one contract: they emit a NormalizedBatch
 holding the normalized context plus the per-step (mu, scale) statistics
 needed to denormalize any forecast over the requested horizon via
-y = mu + scale * e. The adaptive normalizer uses the filter's one-step
-predictions theta_{t|t-1}, never the filtered theta_{t|t}, so the value
-at time t depends only on strictly earlier observations.
+y = mu + scale * e. A context is one (T, k) window or a (..., T, k)
+stack of them, each normalized on its own. The adaptive normalizer uses
+the filter's one-step predictions theta_{t|t-1}, never the filtered
+theta_{t|t}, so the value at time t depends only on strictly earlier
+observations.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class NormalizedBatch:
     multiplier of the affine map; for the distributional normalizers it
     equals sqrt(max(sigma2, floor)), for mean scaling it is the context
     mean itself. ``fallback`` flags features where a near-zero context
-    mean forced mean scaling back to scale 1.
+    mean forced mean scaling back to scale 1. For a stack of contexts
+    every array gains the stack's leading axes.
     """
 
     normalized_context: np.ndarray
@@ -80,15 +83,7 @@ class NormalizedBatch:
 
     @property
     def horizon(self) -> int:
-        return self.horizon_mu.shape[0]
-
-    @property
-    def context_sigma2(self) -> np.ndarray:
-        return self.context_scale**2
-
-    @property
-    def horizon_sigma2(self) -> np.ndarray:
-        return self.horizon_scale**2
+        return self.horizon_mu.shape[-2]
 
 
 def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]]:
@@ -96,14 +91,14 @@ def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]
     ctx = np.asarray(context, dtype=np.float64)
     if ctx.ndim == 1:
         ctx = ctx[:, None]
-    if ctx.ndim != 2 or ctx.size == 0:
-        raise ValidationError("context must be a non-empty 2-D (time, feature) array")
+    if ctx.ndim < 2 or ctx.size == 0:
+        raise ValidationError("context must be a non-empty (..., time, feature) array")
     if not np.all(np.isfinite(ctx)):
         raise ValidationError("context contains non-finite values")
     if horizon < 1:
         raise ValidationError(f"horizon must be at least 1, got {horizon}")
-    names = list(feature_names) if feature_names else [f"f{i}" for i in range(ctx.shape[1])]
-    if len(names) != ctx.shape[1]:
+    names = list(feature_names) if feature_names else [f"f{i}" for i in range(ctx.shape[-1])]
+    if len(names) != ctx.shape[-1]:
         raise ValidationError("feature_names length does not match context width")
     return ctx, names
 
@@ -112,34 +107,38 @@ def _std(sigma2: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR))
 
 
+def _steps(stat: np.ndarray, ctx: np.ndarray, steps: int) -> np.ndarray:
+    """Per-window (..., k) statistics repeated over ``steps`` time steps, as a view."""
+    return np.broadcast_to(stat[..., None, :], (*ctx.shape[:-2], steps, ctx.shape[-1]))
+
+
 def gas_normalize(
     context,
     params: dict[str, GasParams],
     horizon: int,
     feature_names=None,
 ) -> NormalizedBatch:
-    """Filter each feature over the context and standardize online.
+    """Filter each feature over each context window and standardize online.
 
     Each observation is normalized with the prediction made before it
     was seen; horizon statistics continue the filter's affine forecast
-    recursion past the end of the context.
+    recursion past the end of the window. Every window restarts the
+    filter from the fitted initial state.
     """
     ctx, names = _inputs(context, horizon, feature_names)
     missing = [n for n in names if n not in params]
     if missing:
         raise ValidationError(f"no fitted parameters for features {missing}")
-    T, k = ctx.shape
-    c_mu = np.empty((T, k))
-    c_s2 = np.empty((T, k))
-    h_mu = np.empty((horizon, k))
-    h_s2 = np.empty((horizon, k))
-    for j, name in enumerate(names):
-        trace = filter_series(params[name], ctx[:, j])
-        c_mu[:, j] = trace.mu_prior
-        c_s2[:, j] = trace.sigma2_prior
-        stats = forecast_statistics(params[name], trace.last_state, horizon)
-        h_mu[:, j] = stats[:, 0]
-        h_s2[:, j] = stats[:, 1]
+    c_mu, c_s2 = np.empty(ctx.shape), np.empty(ctx.shape)
+    h_shape = (*ctx.shape[:-2], horizon, ctx.shape[-1])
+    h_mu, h_s2 = np.empty(h_shape), np.empty(h_shape)
+    for window in np.ndindex(ctx.shape[:-2]):
+        for j, name in enumerate(names):
+            at = (*window, slice(None), j)
+            trace = filter_series(params[name], ctx[at])
+            c_mu[at], c_s2[at] = trace.mu_prior, trace.sigma2_prior
+            stats = forecast_statistics(params[name], trace.last_state, horizon)
+            h_mu[at], h_s2[at] = stats[:, 0], stats[:, 1]
     c_scale = _std(c_s2)
     return NormalizedBatch(
         (ctx - c_mu) / c_scale,
@@ -155,17 +154,18 @@ def gas_normalize(
 def local_normalize(context, horizon: int, feature_names=None) -> NormalizedBatch:
     """Standardize with the context window's own mean and population variance."""
     ctx, names = _inputs(context, horizon, feature_names)
-    if ctx.shape[0] < 2:
+    T = ctx.shape[-2]
+    if T < 2:
         raise ValidationError("local normalization needs a context of length >= 2")
-    mu = ctx.mean(axis=0)
-    scale = _std(ctx.var(axis=0))
-    T = ctx.shape[0]
+    mu = ctx.mean(axis=-2)
+    scale = _std(ctx.var(axis=-2))
+    mu_c, scale_c = _steps(mu, ctx, T), _steps(scale, ctx, T)
     return NormalizedBatch(
-        (ctx - mu) / scale,
-        np.tile(mu, (T, 1)),
-        np.tile(scale, (T, 1)),
-        np.tile(mu, (horizon, 1)),
-        np.tile(scale, (horizon, 1)),
+        (ctx - mu_c) / scale_c,
+        mu_c,
+        scale_c,
+        _steps(mu, ctx, horizon),
+        _steps(scale, ctx, horizon),
         NormalizerKind.LOCAL_NORM,
         names,
     )
@@ -184,13 +184,12 @@ def global_normalize(
         raise ValidationError(f"no global statistics for features {missing}")
     mu = np.array([global_stats[n][0] for n in names])
     scale = _std(np.array([global_stats[n][1] for n in names]))
-    T = ctx.shape[0]
     return NormalizedBatch(
         (ctx - mu) / scale,
-        np.tile(mu, (T, 1)),
-        np.tile(scale, (T, 1)),
-        np.tile(mu, (horizon, 1)),
-        np.tile(scale, (horizon, 1)),
+        _steps(mu, ctx, ctx.shape[-2]),
+        _steps(scale, ctx, ctx.shape[-2]),
+        _steps(mu, ctx, horizon),
+        _steps(scale, ctx, horizon),
         NormalizerKind.GLOBAL_NORM,
         names,
     )
@@ -203,18 +202,17 @@ def mean_scale(context, horizon: int, feature_names=None) -> NormalizedBatch:
     scale 1 and are flagged in ``fallback``.
     """
     ctx, names = _inputs(context, horizon, feature_names)
-    mean = ctx.mean(axis=0)
+    mean = ctx.mean(axis=-2)
     fallback = np.abs(mean) < _MEAN_SCALE_EPS
     scale = np.where(fallback, 1.0, mean)
-    T = ctx.shape[0]
-    zeros_c = np.zeros((T, ctx.shape[1]))
-    zeros_h = np.zeros((horizon, ctx.shape[1]))
+    scale_c = _steps(scale, ctx, ctx.shape[-2])
+    scale_h = _steps(scale, ctx, horizon)
     return NormalizedBatch(
-        ctx / scale,
-        zeros_c,
-        np.tile(scale, (T, 1)),
-        zeros_h,
-        np.tile(scale, (horizon, 1)),
+        ctx / scale_c,
+        np.zeros(scale_c.shape),
+        scale_c,
+        np.zeros(scale_h.shape),
+        scale_h,
         NormalizerKind.MEAN_SCALING,
         names,
         fallback=fallback,
@@ -251,6 +249,8 @@ def save_batch(batch: NormalizedBatch, stem) -> None:
     ``<stem>_stats.csv`` (long format: phase, step, feature, mu, scale),
     ``<stem>.json`` (normalizer id and shapes).
     """
+    if batch.normalized_context.ndim != 2:
+        raise ValidationError("save_batch writes one (T, k) window, not a stack")
     stem = str(stem)
     names = batch.feature_names
     with open(stem + "_normalized.csv", "w", newline="\n") as fh:

@@ -189,17 +189,16 @@ def split(frame: SeriesFrame, spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame
     )
 
 
-def windows(
-    frame: SeriesFrame, context_length: int, horizon: int, stride: int = 1
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sliding (context, target) pairs with contexts starting at stride multiples."""
+def windows(frame: SeriesFrame, context_length: int, horizon: int, stride: int = 1) -> np.ndarray:
+    """Sliding windows starting at stride multiples, as one (W, L+h, k) array.
+
+    ``out[:, :L]`` are the contexts and ``out[:, L:]`` the targets.
+    """
     l, h = context_length, horizon
     if l < 1 or h < 1 or stride < 1:
         raise ValidationError("context_length, horizon and stride must be positive")
     n = len(frame)
     if l + h > n:
         raise ValidationError(f"context + horizon = {l + h} exceeds series length {n}")
-    out = []
-    for start in range(0, n - l - h + 1, stride):
-        out.append((frame.values[start : start + l], frame.values[start + l : start + l + h]))
-    return out
+    view = np.lib.stride_tricks.sliding_window_view(frame.values, l + h, axis=0)
+    return np.ascontiguousarray(view.transpose(0, 2, 1)[::stride])

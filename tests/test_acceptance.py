@@ -152,24 +152,32 @@ def test_adaptive_normalization_beats_static_on_trending_data():
 
 
 def _lorenz_pairs(frame, train_frac):
+    """(contexts, targets) stacks: 10-step contexts, the third step ahead as target."""
     values = frame.values
     cut = int(train_frac * len(values))
     m = values[:cut].mean(axis=0)
     s = values[:cut].std(axis=0)
     std = SeriesFrame((values - m) / s, frame.feature_names)
-    return [(c, t[-1:]) for c, t in windows(std, 10, 3, stride=3)]
+    win = windows(std, 10, 3, stride=3)
+    return win[:, :10], win[:, -1:]
 
 
 def _pair_mse(model, pairs):
-    return float(np.mean([np.mean((predict(model, c) - t) ** 2) for c, t in pairs]))
+    contexts, targets = pairs
+    per_window = np.mean((predict(model, contexts) - targets) ** 2, axis=(1, 2))
+    return float(np.mean(per_window))
 
 
 def _two_models(train_pairs, seed):
     relu = train(MlpSpec((64, 64), Activation.RELU, learning_rate=3e-3,
-                         epochs=60, batch_size=32, seed=seed), train_pairs)
+                         epochs=60, batch_size=32, seed=seed), *train_pairs)
     linear = train(MlpSpec((64, 64), Activation.IDENTITY, learning_rate=3e-3,
-                           epochs=60, batch_size=32, seed=seed), train_pairs)
+                           epochs=60, batch_size=32, seed=seed), *train_pairs)
     return relu, linear
+
+
+def _rows(pairs, start, stop=None):
+    return tuple(a[start:stop] for a in pairs)
 
 
 def test_input_shift_flips_nonlinear_advantage():
@@ -177,9 +185,9 @@ def test_input_shift_flips_nonlinear_advantage():
     (MSE ratio < 1) but loses once inputs and targets are shifted by three
     training standard deviations (ratio > 1), for at least 4 of 5 seeds."""
     pairs = _lorenz_pairs(gen_lorenz(LorenzSpec(steps=3000, dt=0.02, seed=0)), 0.7)
-    n = len(pairs)
-    tr, te = pairs[: int(0.7 * n)], pairs[int(0.7 * n):]
-    shifted = [(c + 3.0, t + 3.0) for c, t in te]
+    n = len(pairs[0])
+    tr, te = _rows(pairs, 0, int(0.7 * n)), _rows(pairs, int(0.7 * n))
+    shifted = (te[0] + 3.0, te[1] + 3.0)
     good = 0
     for seed in range(5):
         relu, linear = _two_models(tr, seed)
@@ -195,8 +203,8 @@ def test_linear_model_extrapolates_quadratic_trend_better():
     frame = add_quadratic_trend(gen_lorenz(LorenzSpec(steps=3000, dt=0.02, seed=0)),
                                 1e-5)
     pairs = _lorenz_pairs(frame, 0.6)
-    n = len(pairs)
-    tr, extrap = pairs[: int(0.6 * n)], pairs[int(0.8 * n):]
+    n = len(pairs[0])
+    tr, extrap = _rows(pairs, 0, int(0.6 * n)), _rows(pairs, int(0.8 * n))
     good = 0
     for seed in range(5):
         relu, linear = _two_models(tr, seed)

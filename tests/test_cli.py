@@ -348,6 +348,36 @@ class TestInvalidInputExitsOne:
         assert code == 1
         assert "split" in err
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("normalizers", ["bogus_norm"], "bogus_norm"),
+            ("normalizers", "gas_norm", "normalizers"),
+            ("family", "cauchy", "cauchy"),
+            ("forecaster", {"activation": "bogus"}, "forecaster"),
+            ("seeds", "abc", "seeds"),
+            ("gammas", ["a"], "experiment config"),
+            ("stride", "2", "stride"),
+            ("stride", 2.5, "stride"),
+            ("mase_seasonality", "1", "mase_seasonality"),
+            ("fit_restarts", "2", "fit_restarts"),
+            ("mase_seasonality", 0, "mase_seasonality"),
+            ("nu", "abc", "nu"),
+        ],
+    )
+    def test_experiment_config_value_out_of_range(self, tmp_path, capsys, key, value, named):
+        doc = TestExperiment().config_doc()
+        doc[key] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["experiment", "--config", str(cfg), "--output-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     @pytest.mark.parametrize("kind", ["ar", "lorenz"])
     def test_dataset_with_unknown_key(self, tmp_path, capsys, kind):
         doc = TestExperiment().config_doc()

@@ -156,13 +156,13 @@ class TestRunExperiment:
         predicted, val_given = [], []
         real_predict, real_train = evaluation_mod.predict, evaluation_mod.train
 
-        def counted_predict(*args, **kwargs):
-            predicted.append(1)
-            return real_predict(*args, **kwargs)
+        def counted_predict(model, contexts):
+            predicted.append(len(contexts))
+            return real_predict(model, contexts)
 
-        def recorded_train(spec, pairs, val_pairs=None):
-            val_given.append(bool(val_pairs))
-            return real_train(spec, pairs, val_pairs)
+        def recorded_train(spec, contexts, targets, val=None):
+            val_given.append(val is not None)
+            return real_train(spec, contexts, targets, val)
 
         monkeypatch.setattr(evaluation_mod, "predict", counted_predict)
         monkeypatch.setattr(evaluation_mod, "train", recorded_train)
@@ -171,8 +171,9 @@ class TestRunExperiment:
         _, _, test_f = split(load_dataset(spec.dataset), spec.split)
         test_windows = windows(test_f, spec.split.context_length, spec.split.horizon,
                                spec.stride)
-        # one predict per test window per (normalizer, seed); validation only stops training
-        assert len(predicted) == 2 * 2 * len(test_windows)
+        # one predict per (normalizer, seed), over every test window at once;
+        # validation only stops training
+        assert predicted == [len(test_windows)] * (2 * 2)
         assert val_given == [True] * 4
 
     def test_stderr_over_seeds(self):

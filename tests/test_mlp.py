@@ -7,14 +7,15 @@ from gasnorm.mlp import collapse_linear, init_layers
 
 
 def linear_pairs(n=200, l=4, k=2, h=2, seed=0):
+    """(contexts, targets) stacks of shapes (n, l, k) and (n, h, k)."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(l * k, h * k))
-    pairs = []
+    contexts, targets = [], []
     for _ in range(n):
         ctx = rng.normal(size=(l, k))
-        tgt = (ctx.ravel() @ A).reshape(h, k)
-        pairs.append((ctx, tgt))
-    return pairs
+        contexts.append(ctx)
+        targets.append((ctx.ravel() @ A).reshape(h, k))
+    return np.stack(contexts), np.stack(targets)
 
 
 class TestTrain:
@@ -22,43 +23,43 @@ class TestTrain:
         pairs = linear_pairs()
         spec = MlpSpec((16,), Activation.IDENTITY, learning_rate=0.05,
                        epochs=300, batch_size=32, seed=0)
-        model = train(spec, pairs)
+        model = train(spec, *pairs)
         assert model.train_loss_curve[-1] < 1e-6
 
     def test_zero_targets_descend(self):
         rng = np.random.default_rng(1)
-        pairs = [(rng.normal(size=(3, 1)), np.zeros((1, 1))) for _ in range(50)]
+        contexts = np.stack([rng.normal(size=(3, 1)) for _ in range(50)])
         spec = MlpSpec((8,), Activation.RELU, learning_rate=0.05, epochs=40, seed=1)
-        model = train(spec, pairs)
+        model = train(spec, contexts, np.zeros((50, 1, 1)))
         assert model.train_loss_curve[-1] <= model.train_loss_curve[0]
 
     def test_determinism(self):
         pairs = linear_pairs(n=60, seed=2)
         spec = MlpSpec((8, 8), Activation.RELU, epochs=10, seed=5)
-        m1 = train(spec, pairs)
-        m2 = train(spec, pairs)
+        m1 = train(spec, *pairs)
+        m2 = train(spec, *pairs)
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
 
     def test_loss_curve_length_equals_epochs(self):
-        model = train(MlpSpec((4,), epochs=7, seed=0), linear_pairs(n=20))
+        model = train(MlpSpec((4,), epochs=7, seed=0), *linear_pairs(n=20))
         assert len(model.train_loss_curve) == 7
 
     def test_early_stopping_restores_best(self):
         pairs = linear_pairs(n=80, seed=3)
         val = linear_pairs(n=20, seed=4)
         spec = MlpSpec((8,), Activation.IDENTITY, learning_rate=0.05, epochs=500, seed=0)
-        model = train(spec, pairs, val_pairs=val, patience=5)
+        model = train(spec, *pairs, val=val, patience=5)
         assert len(model.train_loss_curve) <= 500
 
     def test_empty_pairs_error(self):
         with pytest.raises(ValidationError):
-            train(MlpSpec(), [])
+            train(MlpSpec(), np.empty((0, 4, 2)), np.empty((0, 2, 2)))
 
 
 class TestPredict:
     def test_zero_weights_give_zero(self):
-        model = train(MlpSpec((4,), epochs=1, seed=0), linear_pairs(n=10))
+        model = train(MlpSpec((4,), epochs=1, seed=0), *linear_pairs(n=10))
         zeroed = TrainedModel(
             [np.zeros_like(w) for w in model.weights],
             [np.zeros_like(b) for b in model.biases],
@@ -91,9 +92,24 @@ class TestPredict:
         assert out[0, 0] == pytest.approx(2.0 * 0.5 + 3.0 * -1.0 + 0.25)
 
     def test_shape_mismatch_errors(self):
-        model = train(MlpSpec((4,), epochs=1, seed=0), linear_pairs(n=10))
+        model = train(MlpSpec((4,), epochs=1, seed=0), *linear_pairs(n=10))
         with pytest.raises(ValidationError):
             predict(model, np.ones((2, 2)))
+
+
+def test_stacked_predict_equals_each_window_bit_for_bit():
+    # the widths and window of the Lorenz benchmark, where a single (W, n) @ (n, m)
+    # product differs from the one-row products in the last bits
+    rng = np.random.default_rng(8)
+    spec = MlpSpec((64, 64), Activation.RELU, seed=0)
+    weights, biases = init_layers(spec, 48 * 3, 8 * 3, rng)
+    biases = [rng.normal(size=b.shape) for b in biases]
+    model = TrainedModel(weights, biases, spec, np.zeros(1), (48, 3), (8, 3))
+    stack = rng.normal(size=(200, 48, 3))
+    out = predict(model, stack)
+    assert out.shape == (200, 8, 3)
+    for i, ctx in enumerate(stack):
+        assert np.array_equal(out[i], predict(model, ctx))
 
 
 class TestGradientCheck:
@@ -131,7 +147,7 @@ class TestGradientCheck:
 def test_identity_network_collapses_to_affine():
     pairs = linear_pairs(n=30, seed=5)
     spec = MlpSpec((8, 8), Activation.IDENTITY, epochs=3, seed=4)
-    model = train(spec, pairs)
+    model = train(spec, *pairs)
     W, b = collapse_linear(model)
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -142,7 +158,7 @@ def test_identity_network_collapses_to_affine():
 
 
 def test_serialization_round_trip():
-    model = train(MlpSpec((4,), epochs=2, seed=0), linear_pairs(n=10))
+    model = train(MlpSpec((4,), epochs=2, seed=0), *linear_pairs(n=10))
     back = TrainedModel.from_dict(model.to_dict())
     ctx = np.random.default_rng(7).normal(size=model.input_shape)
     np.testing.assert_array_equal(predict(model, ctx), predict(back, ctx))

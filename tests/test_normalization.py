@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import naive_filter
 from gasnorm import (
@@ -18,6 +20,7 @@ from gasnorm import (
 )
 from gasnorm.errors import ValidationError
 from gasnorm.normalization import save_batch
+from gasnorm.series import SeriesFrame, windows
 
 
 def static_params(mean, var, gamma=0.0, family=Family.GAUSSIAN, **kw):
@@ -260,6 +263,57 @@ def test_horizon_below_one_rejected(kind, horizon):
         normalize(spec, np.arange(1.0, 6.0), horizon)
 
 
+BATCH_ARRAYS = ("normalized_context", "context_mu", "context_scale", "horizon_mu",
+                "horizon_scale")
+
+
+@given(
+    kind=st.sampled_from(list(NormalizerKind)),
+    k=st.sampled_from([1, 3]),
+    l=st.integers(2, 64),
+    h=st.integers(1, 5),
+    n_windows=st.integers(1, 6),
+    stride=st.integers(1, 3),
+    zero_mean=st.booleans(),
+    family=st.sampled_from(list(Family)),
+    gamma=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_stack_is_bit_identical_to_each_window_alone(
+    kind, k, l, h, n_windows, stride, zero_mean, family, gamma, seed
+):
+    rng = np.random.default_rng(seed)
+    n = (n_windows - 1) * stride + l + h
+    values = rng.normal(loc=rng.uniform(-3, 3), scale=rng.uniform(0.5, 3), size=(n, k))
+    if zero_mean:
+        # the first context sums to exactly 0, so mean scaling falls back to scale 1
+        pattern = np.repeat(np.arange(1.0, l // 2 + 1), 2) * np.tile([1.0, -1.0], l // 2)
+        values[:l] = np.append(pattern, [0.0] * (l % 2))[:, None]
+    names = [f"f{j}" for j in range(k)]
+    spec = NormalizerSpec(
+        kind,
+        gas_params={n_: static_params(0.5, 2.0, gamma=gamma, family=family, nu=8.0)
+                    for n_ in names} if kind is NormalizerKind.GAS_NORM else None,
+        global_stats={n_: (0.5, 2.0) for n_ in names}
+        if kind is NormalizerKind.GLOBAL_NORM else None,
+    )
+    # the stack is the pipeline's: contexts sliced out of the windows array
+    stack = normalize(spec, windows(SeriesFrame(values), l, h, stride)[:, :l], h, names)
+    residual = rng.normal(size=stack.horizon_mu.shape)
+    stacked_forecast = denormalize(residual, stack)
+    for i in range(n_windows):
+        alone = normalize(spec, values[i * stride : i * stride + l], h, names)
+        for name in BATCH_ARRAYS:
+            assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)), name
+        if kind is NormalizerKind.MEAN_SCALING:
+            assert np.array_equal(stack.fallback[i], alone.fallback)
+        assert np.array_equal(stacked_forecast[i], denormalize(residual[i], alone))
+    assert stack.horizon == h
+    if zero_mean and kind is NormalizerKind.MEAN_SCALING:
+        assert stack.fallback[0].all()
+
+
 def test_save_batch_files(tmp_path):
     ctx = np.random.default_rng(11).normal(size=(6, 2))
     batch = local_normalize(ctx, 2, ["a", "b"])
@@ -272,3 +326,10 @@ def test_save_batch_files(tmp_path):
     doc = json.loads((tmp_path / "out.json").read_text())
     assert doc["normalizer"] == "local_norm"
     assert doc["horizon"] == 2
+
+
+def test_save_batch_rejects_a_stack(tmp_path):
+    batch = local_normalize(np.random.default_rng(12).normal(size=(3, 6, 2)), 2)
+    with pytest.raises(ValidationError, match="stack"):
+        save_batch(batch, tmp_path / "out")
+    assert not list(tmp_path.iterdir())

@@ -166,9 +166,18 @@ class TestWindows:
 
     def test_contents_contiguous(self):
         frame = SeriesFrame(np.arange(8.0))
-        ctx, tgt = windows(frame, 3, 2, 1)[2]
+        win = windows(frame, 3, 2, 1)[2]
+        ctx, tgt = win[:3], win[3:]
         np.testing.assert_array_equal(ctx[:, 0], [2, 3, 4])
         np.testing.assert_array_equal(tgt[:, 0], [5, 6])
+
+    def test_contents_with_stride(self):
+        frame = SeriesFrame(np.arange(24.0).reshape(12, 2))
+        win = windows(frame, 3, 2, stride=3)
+        assert win.shape == (3, 5, 2)
+        assert win.flags.c_contiguous
+        for i in range(3):
+            np.testing.assert_array_equal(win[i], frame.values[3 * i : 3 * i + 5])
 
     def test_count_formula(self):
         for n, l, h, s in [(20, 4, 3, 2), (17, 5, 1, 3), (30, 10, 10, 7)]:
