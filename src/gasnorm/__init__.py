@@ -7,15 +7,7 @@ input of a downstream residual forecaster and their forecasts
 denormalize its output.
 """
 
-from .datagen import (
-    ArSpec,
-    LorenzSpec,
-    add_quadratic_trend,
-    affine_map,
-    gen_ar,
-    gen_lorenz,
-    inject_outlier,
-)
+from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz
 from .errors import FitError, GasNormError, NumericalError, ValidationError
 from .evaluation import (
     EvalReport,
@@ -29,17 +21,13 @@ from .evaluation import (
 from .filtering import (
     VARIANCE_FLOOR,
     Family,
-    FilterState,
     FilterTrace,
     GasParams,
     filter_series,
     forecast_statistics,
-    initial_state,
-    score_and_fim,
-    update,
 )
 from .fitting import FitConfig, FitResult, fit, fit_frame, penalized_objective
-from .mlp import Activation, MlpSpec, TrainedModel, gradient_check, predict, train
+from .mlp import Activation, MlpSpec, TrainedModel, predict, train
 from .normalization import (
     NormalizedBatch,
     NormalizerKind,
@@ -51,6 +39,6 @@ from .normalization import (
     mean_scale,
     normalize,
 )
-from .series import SeriesFrame, SplitSpec, difference, load_csv, split, windows, write_csv
+from .series import SeriesFrame, SplitSpec, load_csv, split, windows, write_csv
 
 __version__ = "0.1.0"

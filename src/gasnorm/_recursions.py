@@ -1,8 +1,8 @@
 """The score-driven filter step: the only place it is written.
 
 Each step is a natural-gradient update of the prior state followed by
-the linear prediction step; ``filtering.filter_series`` and
-``filtering.update`` both run through ``filter_recursion``.
+the linear prediction step; ``filtering.filter_series`` runs every
+filter through ``filter_recursion``.
 
 The loop runs on Python floats (``ys.tolist()``, ``GasParams`` fields)
 and fills lists that become arrays once at the end: numpy-scalar

@@ -121,36 +121,6 @@ def gen_lorenz(spec: LorenzSpec) -> SeriesFrame:
     return SeriesFrame(states, ["x", "y", "z"])
 
 
-def affine_map(frame: SeriesFrame, shift, scale) -> SeriesFrame:
-    """x -> scale * x + shift, elementwise per feature."""
-    shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (frame.n_features,))
-    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (frame.n_features,))
-    if np.any(scale <= 0):
-        raise ValidationError("scale must be positive")
-    return SeriesFrame(frame.values * scale + shift, frame.feature_names, frame.time_index)
-
-
-def add_quadratic_trend(frame: SeriesFrame, coeff: float) -> SeriesFrame:
-    """x_t -> x_t + coeff * t^2 on every feature."""
-    t = np.arange(len(frame), dtype=np.float64)
-    return SeriesFrame(
-        frame.values + coeff * t[:, None] ** 2, frame.feature_names, frame.time_index
-    )
-
-
-def inject_outlier(
-    frame: SeriesFrame, t: int, feature: int, magnitude_in_sigmas: float
-) -> SeriesFrame:
-    """Add magnitude * (feature std) at a single point."""
-    if not 0 <= t < len(frame) or not 0 <= feature < frame.n_features:
-        raise ValidationError(
-            f"index (t={t}, feature={feature}) out of range for shape {frame.values.shape}"
-        )
-    values = frame.values.copy()
-    values[t, feature] += magnitude_in_sigmas * values[:, feature].std()
-    return SeriesFrame(values, frame.feature_names, frame.time_index)
-
-
 def write_spec_sidecar(spec, path) -> None:
     """JSON sidecar describing the generator, for reproducibility."""
     d = asdict(spec)

@@ -20,11 +20,7 @@ class NumericalError(GasNormError, ArithmeticError):
 
 
 class FitError(NumericalError):
-    """A fit could not start, or every feature failed; carries per-feature diagnostics."""
-
-    def __init__(self, message: str, diagnostics: list | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
+    """A fit could not start, or every feature failed and not all on invalid input."""
 
 
 def check_keys(d, where: str, required=(), allowed=None) -> dict:

@@ -81,6 +81,11 @@ class ExperimentSpec:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         if isinstance(self.nu, bool) or not isinstance(self.nu, Real) or not np.isfinite(self.nu):
             raise ValidationError(f"nu must be a finite number, got {self.nu!r}")
+        for name, kind, what in (("seeds", Integral, "integers"), ("gammas", Real, "numbers")):
+            values = getattr(self, name)
+            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
+            if bad:
+                raise ValidationError(f"{name} entries must be {what}, got {bad!r}")
         # duplicates are dropped: repeated entries would only repeat identical cells
         object.__setattr__(
             self,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -97,31 +97,6 @@ class GasParams:
     def from_dict(cls, d: dict) -> "GasParams":
         return from_keys(cls, d, "params")
 
-    def with_gamma(self, gamma: float) -> "GasParams":
-        return replace(self, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Latest prediction theta_{t+1|t} and filtered value theta_{t|t}."""
-
-    mu_pred: float
-    sigma2_pred: float
-    mu_filt: float
-    sigma2_filt: float
-
-    def __post_init__(self):
-        vals = (self.mu_pred, self.sigma2_pred, self.mu_filt, self.sigma2_filt)
-        if not all(math.isfinite(v) for v in vals):
-            raise NumericalError(f"non-finite filter state {vals}")
-        if self.sigma2_pred < VARIANCE_FLOOR or self.sigma2_filt < VARIANCE_FLOOR:
-            raise ValidationError("variance below floor")
-
-
-def initial_state(params: GasParams) -> FilterState:
-    s2 = max(params.sigma2_0, VARIANCE_FLOOR)
-    return FilterState(params.mu0, s2, params.mu0, s2)
-
 
 @dataclass(frozen=True)
 class FilterTrace:
@@ -140,50 +115,9 @@ class FilterTrace:
     sigma2_filt: np.ndarray
     loglik: float
     penalty: float
-    params: GasParams = field(repr=False)
 
     def __len__(self) -> int:
         return self.mu_prior.shape[0]
-
-    @property
-    def last_state(self) -> FilterState:
-        """The last filtered value and the prediction made from it."""
-        p = self.params
-        mu_filt, s2_filt = self.mu_filt[-1], self.sigma2_filt[-1]
-        mu_next = p.omega_mu + p.beta_mu * mu_filt
-        s2_next = max(p.omega_sigma + p.beta_sigma * s2_filt, VARIANCE_FLOOR)
-        return FilterState(mu_next, s2_next, mu_filt, s2_filt)
-
-
-def score_and_fim(
-    family: Family, y: float, mu: float, sigma2: float, nu: float = 100.0
-) -> tuple[float, float, float, float]:
-    """Scores of the conditional log-density and the diagonal Fisher information.
-
-    Returns (score_mu, score_sigma2, fim_mu, fim_sigma2) evaluated at
-    (mu, sigma2). Cross terms of the FIM are zero for both families, so
-    the diagonal is the whole matrix.
-    """
-    if sigma2 <= 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    r = y - mu
-    if family is Family.GAUSSIAN:
-        score_mu = r / sigma2
-        score_s2 = 0.5 * (r * r / sigma2**2 - 1.0 / sigma2)
-        return score_mu, score_s2, 1.0 / sigma2, 0.5 / sigma2**2
-    if nu <= 2:
-        raise ValidationError(f"nu must exceed 2, got {nu}")
-    score_mu = (nu + 1.0) * r / (nu * sigma2 + r * r)
-    score_s2 = 0.5 * ((nu + 1.0) * r * r / (nu * sigma2**2 + sigma2 * r * r) - 1.0 / sigma2)
-    fim_mu = (nu + 1.0) / ((nu + 3.0) * sigma2)
-    fim_s2 = nu / (2.0 * (nu + 3.0) * sigma2**2)
-    return score_mu, score_s2, fim_mu, fim_s2
-
-
-def update(params: GasParams, state: FilterState, y: float) -> FilterState:
-    """One observation step from ``state``: the filter run over ``[y]``."""
-    start = replace(params, mu0=state.mu_pred, sigma2_0=state.sigma2_pred)
-    return filter_series(start, [y]).last_state
 
 
 def filter_series(params: GasParams, ys) -> FilterTrace:
@@ -210,24 +144,25 @@ def filter_series(params: GasParams, ys) -> FilterTrace:
     )
     if status >= 0:
         raise NumericalError(f"filter state became non-finite at timestep {status}")
-    return FilterTrace(mu_p, s2_p, mu_f, s2_f, float(loglik), float(penalty), params)
+    return FilterTrace(mu_p, s2_p, mu_f, s2_f, float(loglik), float(penalty))
 
 
 def forecast_statistics(
-    params: GasParams, last_state: FilterState, horizon: int
-) -> np.ndarray:
-    """h-step iterate of mu <- omega + beta*mu from the last filtered state.
+    params: GasParams, mu_filt, sigma2_filt, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """h-step iterate of theta <- omega + beta*theta from the last filtered values.
 
-    Returns an array of shape (horizon, 2) with (mu, sigma2) rows; the
-    first row is theta_{T+1|T}, i.e. ``last_state``'s own prediction.
+    ``mu_filt`` and ``sigma2_filt`` are arrays of one shape S, one entry
+    per filter run. Returns (mu, sigma2), each of shape (*S, horizon);
+    step 0 is theta_{T+1|T}, the prediction made from the filtered value.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    out = np.empty((horizon, 2))
-    mu, s2 = last_state.mu_filt, last_state.sigma2_filt
+    mu = np.asarray(mu_filt, dtype=np.float64)
+    s2 = np.asarray(sigma2_filt, dtype=np.float64)
+    out_mu, out_s2 = np.empty((*mu.shape, horizon)), np.empty((*s2.shape, horizon))
     for j in range(horizon):
         mu = params.omega_mu + params.beta_mu * mu
-        s2 = max(params.omega_sigma + params.beta_sigma * s2, VARIANCE_FLOOR)
-        out[j, 0] = mu
-        out[j, 1] = s2
-    return out
+        s2 = np.maximum(params.omega_sigma + params.beta_sigma * s2, VARIANCE_FLOOR)
+        out_mu[..., j], out_s2[..., j] = mu, s2
+    return out_mu, out_s2

@@ -224,9 +224,9 @@ def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:
         except (ValidationError, ArithmeticError) as exc:
             errors[name] = exc
     if errors and not results:
-        raise FitError(
-            "every feature failed to fit", [f"{k}: {v}" for k, v in errors.items()]
-        )
+        reasons = "; ".join(f"{name}: {exc}" for name, exc in errors.items())
+        invalid = all(isinstance(exc, ValidationError) for exc in errors.values())
+        raise (ValidationError if invalid else FitError)(f"every feature failed to fit: {reasons}")
     if errors:
         import warnings
 

@@ -10,7 +10,7 @@ map, which is the linear baseline used in the shift experiments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,48 +210,3 @@ def predict(model: TrainedModel, context) -> np.ndarray:
     acts, _ = _forward(model.weights, model.biases, model.spec.activation, rows)
     out = acts[-1].reshape(len(stack), *model.output_shape)
     return out[0] if single else out
-
-
-def collapse_linear(model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Fold an identity-activation network into a single (W, b) affine map."""
-    if model.spec.activation is not Activation.IDENTITY:
-        raise ValidationError("only identity-activation networks collapse to affine maps")
-    W = model.weights[0]
-    b = model.biases[0].copy()
-    for w_i, b_i in zip(model.weights[1:], model.biases[1:]):
-        b = b @ w_i + b_i
-        W = W @ w_i
-    return W, b
-
-
-def gradient_check(spec: MlpSpec, sample, step: float = 1e-6) -> float:
-    """Max relative error of analytic vs central finite-difference gradients."""
-    context, target = sample
-    X = np.atleast_2d(np.asarray(context, dtype=np.float64)).ravel()[None, :]
-    Y = np.atleast_2d(np.asarray(target, dtype=np.float64)).ravel()[None, :]
-    rng = np.random.default_rng(spec.seed)
-    weights, biases = init_layers(spec, X.shape[1], Y.shape[1], rng)
-
-    acts, pre = _forward(weights, biases, spec.activation, X)
-    grads_w, grads_b = _backward(weights, spec.activation, acts, pre, Y)
-
-    def loss() -> float:
-        a, _ = _forward(weights, biases, spec.activation, X)
-        return float(np.mean((a[-1] - Y) ** 2))
-
-    worst = 0.0
-    for params, grads in ((weights, grads_w), (biases, grads_b)):
-        for p, g in zip(params, grads):
-            flat = p.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up = loss()
-                flat[idx] = orig - step
-                down = loss()
-                flat[idx] = orig
-                numeric = (up - down) / (2.0 * step)
-                analytic = g.ravel()[idx]
-                denom = max(abs(numeric), abs(analytic), 1e-8)
-                worst = max(worst, abs(numeric - analytic) / denom)
-    return worst

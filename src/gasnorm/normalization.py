@@ -132,13 +132,15 @@ def gas_normalize(
     c_mu, c_s2 = np.empty(ctx.shape), np.empty(ctx.shape)
     h_shape = (*ctx.shape[:-2], horizon, ctx.shape[-1])
     h_mu, h_s2 = np.empty(h_shape), np.empty(h_shape)
-    for window in np.ndindex(ctx.shape[:-2]):
-        for j, name in enumerate(names):
+    # the last filtered (mu, sigma2) of every window, for one feature at a time
+    last_mu, last_s2 = np.empty(ctx.shape[:-2]), np.empty(ctx.shape[:-2])
+    for j, name in enumerate(names):
+        for window in np.ndindex(ctx.shape[:-2]):
             at = (*window, slice(None), j)
             trace = filter_series(params[name], ctx[at])
             c_mu[at], c_s2[at] = trace.mu_prior, trace.sigma2_prior
-            stats = forecast_statistics(params[name], trace.last_state, horizon)
-            h_mu[at], h_s2[at] = stats[:, 0], stats[:, 1]
+            last_mu[window], last_s2[window] = trace.mu_filt[-1], trace.sigma2_filt[-1]
+        h_mu[..., j], h_s2[..., j] = forecast_statistics(params[name], last_mu, last_s2, horizon)
     c_scale = _std(c_s2)
     return NormalizedBatch(
         (ctx - c_mu) / c_scale,

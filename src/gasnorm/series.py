@@ -1,9 +1,8 @@
-"""Time series containers, CSV ingestion, differencing and chronological splits."""
+"""Time series containers, CSV ingestion and chronological splits."""
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,13 +14,11 @@ from .errors import ValidationError
 class SeriesFrame:
     """Immutable multivariate series indexed (time, feature).
 
-    ``values`` is always a 2-D float array with finite entries; the time
-    index is a unitless, strictly increasing integer tick.
+    ``values`` is always a 2-D float array with finite entries.
     """
 
     values: np.ndarray
     feature_names: list[str] = field(default_factory=list)
-    time_index: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -39,18 +36,7 @@ class SeriesFrame:
                 f"{len(names)} feature names for {values.shape[1]} columns"
             )
         object.__setattr__(self, "feature_names", names)
-
-        if self.time_index is None:
-            tick = np.arange(values.shape[0], dtype=np.int64)
-        else:
-            tick = np.asarray(self.time_index, dtype=np.int64)
-        if tick.shape != (values.shape[0],):
-            raise ValidationError("time_index length does not match values")
-        if tick.size > 1 and np.any(np.diff(tick) <= 0):
-            raise ValidationError("time_index must be strictly increasing")
-        object.__setattr__(self, "time_index", tick)
         self.values.setflags(write=False)
-        self.time_index.setflags(write=False)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -68,11 +54,7 @@ class SeriesFrame:
         return self.values[:, j]
 
     def slice(self, start: int, stop: int) -> "SeriesFrame":
-        return SeriesFrame(
-            self.values[start:stop],
-            self.feature_names,
-            self.time_index[start:stop],
-        )
+        return SeriesFrame(self.values[start:stop], self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -95,32 +77,27 @@ class SplitSpec:
             raise ValidationError("context_length and horizon must be positive")
 
 
-def load_csv(path, has_header: bool = True) -> SeriesFrame:
+def load_csv(path) -> SeriesFrame:
     """Read a comma-separated numeric file into a SeriesFrame.
 
-    Accepts LF or CRLF line endings and an optional single header row.
-    Non-numeric or non-finite cells are rejected with the offending
-    row/column named.
+    Accepts LF or CRLF line endings; the first row is the header of
+    feature names. Non-numeric or non-finite cells are rejected with the
+    offending row/column named.
     """
     with open(path, "r", newline="") as fh:
-        return _parse_csv(fh, has_header, str(path))
+        return _parse_csv(fh, str(path))
 
 
-def loads_csv(text: str, has_header: bool = True) -> SeriesFrame:
-    return _parse_csv(io.StringIO(text), has_header, "<string>")
-
-
-def _parse_csv(fh, has_header: bool, source: str) -> SeriesFrame:
+def _parse_csv(fh, source: str) -> SeriesFrame:
+    """The rows of the open text file ``fh``; ``source`` names it in errors."""
     reader = csv.reader(fh)
     rows = [row for row in reader if row]
     if not rows:
         raise ValidationError(f"{source}: empty CSV")
-    names: list[str] = []
-    if has_header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise ValidationError(f"{source}: header but no data rows")
+    names = [c.strip() for c in rows[0]]
+    rows = rows[1:]
+    if not rows:
+        raise ValidationError(f"{source}: header but no data rows")
     width = len(rows[0])
     data = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
@@ -149,16 +126,6 @@ def write_csv(frame: SeriesFrame, path) -> None:
         fh.write(",".join(frame.feature_names) + "\n")
         for row in frame.values:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def difference(frame: SeriesFrame, order: int = 1) -> SeriesFrame:
-    """x_t - x_{t-order}; output is ``order`` steps shorter."""
-    if order < 1:
-        raise ValidationError("order must be a positive integer")
-    if order >= len(frame):
-        raise ValidationError(f"order {order} >= series length {len(frame)}")
-    values = frame.values[order:] - frame.values[:-order]
-    return SeriesFrame(values, frame.feature_names, frame.time_index[order:])
 
 
 def split(frame: SeriesFrame, spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:

@@ -1,0 +1,101 @@
+"""Data transforms and checks that only the tests use.
+
+They build inputs for the shift, outlier and trend tests, check the
+MLP's backprop and read CSV text; the pipeline itself needs none of them.
+"""
+
+import io
+
+import numpy as np
+
+from gasnorm import Activation, MlpSpec, SeriesFrame, TrainedModel
+from gasnorm.errors import ValidationError
+from gasnorm.mlp import _backward, _forward, init_layers
+from gasnorm.series import _parse_csv
+
+
+def loads_csv(text: str) -> SeriesFrame:
+    """``load_csv`` on a string instead of a file."""
+    return _parse_csv(io.StringIO(text), "<string>")
+
+
+def difference(frame: SeriesFrame, order: int = 1) -> SeriesFrame:
+    """x_t - x_{t-order}; output is ``order`` steps shorter."""
+    if order < 1:
+        raise ValidationError("order must be a positive integer")
+    if order >= len(frame):
+        raise ValidationError(f"order {order} >= series length {len(frame)}")
+    return SeriesFrame(frame.values[order:] - frame.values[:-order], frame.feature_names)
+
+
+def affine_map(frame: SeriesFrame, shift, scale) -> SeriesFrame:
+    """x -> scale * x + shift, elementwise per feature."""
+    shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (frame.n_features,))
+    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (frame.n_features,))
+    if np.any(scale <= 0):
+        raise ValidationError("scale must be positive")
+    return SeriesFrame(frame.values * scale + shift, frame.feature_names)
+
+
+def add_quadratic_trend(frame: SeriesFrame, coeff: float) -> SeriesFrame:
+    """x_t -> x_t + coeff * t^2 on every feature."""
+    t = np.arange(len(frame), dtype=np.float64)
+    return SeriesFrame(frame.values + coeff * t[:, None] ** 2, frame.feature_names)
+
+
+def inject_outlier(
+    frame: SeriesFrame, t: int, feature: int, magnitude_in_sigmas: float
+) -> SeriesFrame:
+    """Add magnitude * (feature std) at a single point."""
+    if not 0 <= t < len(frame) or not 0 <= feature < frame.n_features:
+        raise ValidationError(
+            f"index (t={t}, feature={feature}) out of range for shape {frame.values.shape}"
+        )
+    values = frame.values.copy()
+    values[t, feature] += magnitude_in_sigmas * values[:, feature].std()
+    return SeriesFrame(values, frame.feature_names)
+
+
+def collapse_linear(model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Fold an identity-activation network into a single (W, b) affine map."""
+    if model.spec.activation is not Activation.IDENTITY:
+        raise ValidationError("only identity-activation networks collapse to affine maps")
+    W = model.weights[0]
+    b = model.biases[0].copy()
+    for w_i, b_i in zip(model.weights[1:], model.biases[1:]):
+        b = b @ w_i + b_i
+        W = W @ w_i
+    return W, b
+
+
+def gradient_check(spec: MlpSpec, sample, step: float = 1e-6) -> float:
+    """Max relative error of analytic vs central finite-difference gradients."""
+    context, target = sample
+    X = np.atleast_2d(np.asarray(context, dtype=np.float64)).ravel()[None, :]
+    Y = np.atleast_2d(np.asarray(target, dtype=np.float64)).ravel()[None, :]
+    rng = np.random.default_rng(spec.seed)
+    weights, biases = init_layers(spec, X.shape[1], Y.shape[1], rng)
+
+    acts, pre = _forward(weights, biases, spec.activation, X)
+    grads_w, grads_b = _backward(weights, spec.activation, acts, pre, Y)
+
+    def loss() -> float:
+        a, _ = _forward(weights, biases, spec.activation, X)
+        return float(np.mean((a[-1] - Y) ** 2))
+
+    worst = 0.0
+    for params, grads in ((weights, grads_w), (biases, grads_b)):
+        for p, g in zip(params, grads):
+            flat = p.ravel()
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                up = loss()
+                flat[idx] = orig - step
+                down = loss()
+                flat[idx] = orig
+                numeric = (up - down) / (2.0 * step)
+                analytic = g.ravel()[idx]
+                denom = max(abs(numeric), abs(analytic), 1e-8)
+                worst = max(worst, abs(numeric - analytic) / denom)
+    return worst

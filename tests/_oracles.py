@@ -2,13 +2,17 @@
 
 These deliberately re-derive everything from the density definitions
 (scipy.stats for log-densities, plain formula transcriptions for the
-score steps) and never call into gasnorm's filter path.
+scores, the Fisher information and the score steps) and never call into
+gasnorm's filter path; they take only its enum and error types.
 """
 
 import math
 
 import numpy as np
 from scipy import stats
+
+from gasnorm.errors import ValidationError
+from gasnorm.filtering import Family
 
 FLOOR = 1e-8
 
@@ -56,6 +60,31 @@ def naive_filter(
         mu = omega_mu + beta_mu * mu_f
         s2 = max(omega_sigma + beta_sigma * s2_f, FLOOR)
     return np.array(prior), np.array(filt), loglik, penalty
+
+
+def score_and_fim(
+    family: Family, y: float, mu: float, sigma2: float, nu: float = 100.0
+) -> tuple[float, float, float, float]:
+    """Scores of the conditional log-density and the diagonal Fisher information.
+
+    Returns (score_mu, score_sigma2, fim_mu, fim_sigma2) evaluated at
+    (mu, sigma2). Cross terms of the FIM are zero for both families, so
+    the diagonal is the whole matrix.
+    """
+    if sigma2 <= 0:
+        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
+    r = y - mu
+    if family is Family.GAUSSIAN:
+        score_mu = r / sigma2
+        score_s2 = 0.5 * (r * r / sigma2**2 - 1.0 / sigma2)
+        return score_mu, score_s2, 1.0 / sigma2, 0.5 / sigma2**2
+    if nu <= 2:
+        raise ValidationError(f"nu must exceed 2, got {nu}")
+    score_mu = (nu + 1.0) * r / (nu * sigma2 + r * r)
+    score_s2 = 0.5 * ((nu + 1.0) * r * r / (nu * sigma2**2 + sigma2 * r * r) - 1.0 / sigma2)
+    fim_mu = (nu + 1.0) / ((nu + 3.0) * sigma2)
+    fim_s2 = nu / (2.0 * (nu + 3.0) * sigma2**2)
+    return score_mu, score_s2, fim_mu, fim_s2
 
 
 def fd_scores(family, y, mu, sigma2, nu, h=1e-6):

@@ -286,6 +286,12 @@ class TestInvalidInputExitsOne:
         assert code == 1
         assert "bogus" in err
 
+    def test_fit_on_too_few_rows(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        write_csv(SeriesFrame(np.arange(5.0), ("y",)), path)
+        code, _, err = run(["fit", str(path), "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "at least 10 observations" in err
 
     @pytest.mark.parametrize("key", ["dataset", "split"])
     def test_experiment_config_missing_key(self, tmp_path, capsys, key):
@@ -356,13 +362,16 @@ class TestInvalidInputExitsOne:
             ("family", "cauchy", "cauchy"),
             ("forecaster", {"activation": "bogus"}, "forecaster"),
             ("seeds", "abc", "seeds"),
-            ("gammas", ["a"], "experiment config"),
+            ("gammas", ["a"], "gammas"),
             ("stride", "2", "stride"),
             ("stride", 2.5, "stride"),
             ("mase_seasonality", "1", "mase_seasonality"),
             ("fit_restarts", "2", "fit_restarts"),
             ("mase_seasonality", 0, "mase_seasonality"),
             ("nu", "abc", "nu"),
+            ("seeds", [1.5, 1.9], "seeds"),
+            ("seeds", ["2"], "seeds"),
+            ("gammas", ["0.5"], "gammas"),
         ],
     )
     def test_experiment_config_value_out_of_range(self, tmp_path, capsys, key, value, named):

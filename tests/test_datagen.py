@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import add_quadratic_trend, affine_map, inject_outlier
 from _oracles import rk4_lorenz_step
-from gasnorm import (
-    ArSpec,
-    LorenzSpec,
-    SeriesFrame,
-    add_quadratic_trend,
-    affine_map,
-    gen_ar,
-    gen_lorenz,
-    inject_outlier,
-)
+from gasnorm import ArSpec, LorenzSpec, SeriesFrame, gen_ar, gen_lorenz
 from gasnorm.datagen import ar_is_stable, rk4_step, write_spec_sidecar
 from gasnorm.errors import ValidationError
 

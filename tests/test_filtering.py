@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fd_scores, naive_filter
+from _oracles import fd_scores, naive_filter, score_and_fim
 from gasnorm import (
     VARIANCE_FLOOR,
     Family,
-    FilterState,
     GasParams,
     filter_series,
     forecast_statistics,
-    initial_state,
-    score_and_fim,
-    update,
 )
 from gasnorm._recursions import filter_recursion
 from gasnorm.errors import ValidationError
@@ -78,32 +74,33 @@ class TestScoreAndFim:
 
 
 class TestUpdate:
+    """One observation step from the prior (mu0, sigma2_0)."""
+
     def test_gaussian_mean_hand_case(self):
         p = gaussian_params(beta_mu=0.99, omega_mu=0.0)
         # gamma/(1-gamma) = 1 at gamma = 0.5, scaled mean score is y - mu
-        state = update(p, initial_state(p), 2.0)
-        assert state.mu_filt == pytest.approx(0.2, abs=1e-15)
+        trace = filter_series(p, [2.0])
+        assert trace.mu_filt[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_gaussian_variance_hand_case(self):
-        p = gaussian_params()
-        state = update(p, initial_state(p), 2.0)
-        assert state.sigma2_filt == pytest.approx(1.0 + 0.1 * (4.0 - 1.0), abs=1e-15)
+        trace = filter_series(gaussian_params(), [2.0])
+        assert trace.sigma2_filt[0] == pytest.approx(1.0 + 0.1 * (4.0 - 1.0), abs=1e-15)
 
     def test_gamma_zero_keeps_prediction(self):
         p = gaussian_params(gamma=0.0)
-        state = update(p, initial_state(p), 123.4)
-        assert state.mu_filt == p.mu0
-        assert state.sigma2_filt == p.sigma2_0
+        trace = filter_series(p, [123.4])
+        assert trace.mu_filt[0] == p.mu0
+        assert trace.sigma2_filt[0] == p.sigma2_0
 
     def test_prediction_step_applied(self):
         p = gaussian_params(beta_mu=0.5, omega_mu=1.0)
-        state = update(p, initial_state(p), 2.0)
-        assert state.mu_pred == pytest.approx(1.0 + 0.5 * state.mu_filt)
+        # the second step's prior is the prediction made from the first filtered value
+        trace = filter_series(p, [2.0, 0.0])
+        assert trace.mu_prior[1] == pytest.approx(1.0 + 0.5 * trace.mu_filt[0])
 
     def test_non_finite_observation(self):
-        p = gaussian_params()
         with pytest.raises(ValidationError):
-            update(p, initial_state(p), np.nan)
+            filter_series(gaussian_params(), [np.nan])
 
 
 class TestFilterSeries:
@@ -242,25 +239,37 @@ class TestFilterSeries:
 class TestForecastStatistics:
     def test_beta_zero_collapses_to_omega(self):
         p = gaussian_params(beta_mu=0.0, omega_mu=3.0)
-        stats = forecast_statistics(p, initial_state(p), 5)
-        np.testing.assert_allclose(stats[:, 0], 3.0)
+        mu, _ = forecast_statistics(p, p.mu0, p.sigma2_0, 5)
+        np.testing.assert_allclose(mu, 3.0)
 
     def test_hand_iteration(self):
         p = gaussian_params(beta_mu=0.5, omega_mu=0.0)
-        state = FilterState(2.0, 1.0, 4.0, 1.0)
-        stats = forecast_statistics(p, state, 3)
-        np.testing.assert_allclose(stats[:, 0], [2.0, 1.0, 0.5])
+        mu, _ = forecast_statistics(p, 4.0, 1.0, 3)
+        np.testing.assert_allclose(mu, [2.0, 1.0, 0.5])
 
     def test_fixed_point_convergence(self):
         p = gaussian_params(beta_mu=0.7, omega_mu=0.6, beta_sigma=0.5, omega_sigma=1.0)
-        stats = forecast_statistics(p, initial_state(p), 200)
-        assert stats[-1, 0] == pytest.approx(0.6 / 0.3, abs=1e-9)
-        assert stats[-1, 1] == pytest.approx(1.0 / 0.5, abs=1e-9)
+        mu, sigma2 = forecast_statistics(p, p.mu0, p.sigma2_0, 200)
+        assert mu[-1] == pytest.approx(0.6 / 0.3, abs=1e-9)
+        assert sigma2[-1] == pytest.approx(1.0 / 0.5, abs=1e-9)
 
     def test_invalid_horizon(self):
         p = gaussian_params()
         with pytest.raises(ValidationError):
-            forecast_statistics(p, initial_state(p), 0)
+            forecast_statistics(p, p.mu0, p.sigma2_0, 0)
+
+    def test_stack_equals_one_call_per_entry(self):
+        p = gaussian_params(beta_mu=0.8, omega_mu=0.3, beta_sigma=0.6, omega_sigma=-0.5)
+        rng = np.random.default_rng(3)
+        mu_filt, s2_filt = rng.normal(size=(2, 3)), rng.uniform(0.01, 2.0, size=(2, 3))
+        mu, sigma2 = forecast_statistics(p, mu_filt, s2_filt, 4)
+        assert mu.shape == sigma2.shape == (2, 3, 4)
+        for i in np.ndindex(2, 3):
+            one_mu, one_s2 = forecast_statistics(p, float(mu_filt[i]), float(s2_filt[i]), 4)
+            assert mu[i].tobytes() == one_mu.tobytes()
+            assert sigma2[i].tobytes() == one_s2.tobytes()
+        # a negative omega_sigma drives the variance to the floor
+        assert sigma2.min() == VARIANCE_FLOOR
 
 
 class TestGasParams:

@@ -19,7 +19,7 @@ from gasnorm import (
     gen_ar,
     penalized_objective,
 )
-from gasnorm.errors import ValidationError
+from gasnorm.errors import FitError, NumericalError, ValidationError
 from gasnorm.fitting import (
     _default_bounds,
     _initial_params,
@@ -91,7 +91,7 @@ class TestFit:
         ys = 0.1 * t + np.random.default_rng(0).normal(scale=0.1, size=300)
         config = FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=2, max_iters=300)
         fitted = fit(ys, config)
-        static = fitted.params.with_gamma(0.0)
+        static = replace(fitted.params, gamma=0.0)
         err_fit = np.mean(np.abs(filter_series(fitted.params, ys).mu_prior - ys))
         err_static = np.mean(np.abs(filter_series(static, ys).mu_prior - ys))
         assert err_fit < err_static
@@ -209,6 +209,23 @@ class TestFitFrame:
         r2 = fit_frame(SeriesFrame(values[:, ::-1].copy(), ["b", "a"]), config)
         assert r1["a"] == r2["a"]
         assert r1["b"] == r2["b"]
+
+    def test_every_feature_invalid_is_invalid_input(self):
+        frame = SeriesFrame(np.ones((5, 2)), ["a", "b"])
+        with pytest.raises(ValidationError, match="at least 10 observations") as info:
+            fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1, max_iters=10))
+        assert "a: " in str(info.value) and "b: " in str(info.value)
+
+    def test_a_numerical_failure_makes_it_a_fit_error(self, monkeypatch):
+        def fail(ys, config):
+            if ys[0] > 0:
+                raise NumericalError("filter diverged")
+            raise ValidationError("too short")
+
+        monkeypatch.setattr(fitting_mod, "fit", fail)
+        frame = SeriesFrame(np.array([[1.0, -1.0]] * 20), ["a", "b"])
+        with pytest.raises(FitError, match="a: filter diverged; b: too short"):
+            fit_frame(frame, FitConfig())
 
     def test_serialization_round_trip(self):
         frame = SeriesFrame(np.random.default_rng(4).normal(size=(60, 1)), ["v"])

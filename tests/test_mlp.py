@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gasnorm import Activation, MlpSpec, TrainedModel, gradient_check, predict, train
+from _helpers import collapse_linear, gradient_check
+from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
 from gasnorm.errors import ValidationError
-from gasnorm.mlp import collapse_linear, init_layers
+from gasnorm.mlp import init_layers
 
 
 def linear_pairs(n=200, l=4, k=2, h=2, seed=0):

@@ -67,6 +67,25 @@ class TestGasNormalize:
         expected = (ys - prior[:, 0]) / np.sqrt(np.maximum(prior[:, 1], 1e-8))
         np.testing.assert_allclose(batch.normalized_context[:, 0], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.STUDENT_T])
+    def test_horizon_continues_oracle_filtered_values(self, family):
+        p = GasParams(family=family, nu=20.0, gamma=0.4, alpha_mu=0.2,
+                      alpha_sigma=0.15, beta_mu=0.9, beta_sigma=0.85,
+                      omega_mu=0.05, omega_sigma=0.1, mu0=0.0, sigma2_0=1.0)
+        stack = np.random.default_rng(8).normal(scale=2.0, size=(6, 5, 1))
+        batch = gas_normalize(stack, {"f0": p}, horizon=3)
+        tag = "gaussian" if family is Family.GAUSSIAN else "t"
+        for w, ys in enumerate(stack[:, :, 0]):
+            _, filt, _, _ = naive_filter(
+                ys, tag, 0.2, 0.15, 0.9, 0.85, 0.05, 0.1, 20.0, 0.4, 0.0, 1.0
+            )
+            mu, s2 = filt[-1]
+            for j in range(3):
+                mu = 0.05 + 0.9 * mu
+                s2 = max(0.1 + 0.85 * s2, 1e-8)
+                assert batch.horizon_mu[w, j, 0] == pytest.approx(mu, abs=1e-12)
+                assert batch.horizon_scale[w, j, 0] == pytest.approx(np.sqrt(s2), abs=1e-12)
+
     def test_missing_params_errors(self):
         with pytest.raises(ValidationError, match="f1"):
             gas_normalize(np.ones((5, 2)), {"f0": static_params(1.0, 1.0)}, 1)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasnorm import SeriesFrame, SplitSpec, difference, load_csv, split, windows, write_csv
+from _helpers import difference, loads_csv
+from gasnorm import SeriesFrame, SplitSpec, load_csv, split, windows, write_csv
 from gasnorm.errors import ValidationError
-from gasnorm.series import loads_csv
 
 
 def make_frame(n, k=1, seed=0):
@@ -21,12 +21,6 @@ class TestLoadCsv:
         assert frame.feature_names == ["a", "b"]
         assert len(frame) == 3
         np.testing.assert_array_equal(frame.values, [[1, 2], [3, 4], [5, 6]])
-
-    def test_no_header_generated_names(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1,2\n3,4\n")
-        frame = load_csv(p, has_header=False)
-        assert frame.feature_names == ["f0", "f1"]
 
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -69,10 +63,6 @@ class TestSeriesFrame:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             SeriesFrame(np.array([[1.0], [np.nan]]))
-
-    def test_rejects_non_increasing_index(self):
-        with pytest.raises(ValidationError):
-            SeriesFrame(np.ones((3, 1)), time_index=[0, 0, 1])
 
     def test_immutable_values(self):
         frame = make_frame(5)
