@@ -25,6 +25,7 @@ from .filtering import (
     filter_series,
     forecast_statistics,
 )
+from .series import csv_line, write_rows
 
 _MEAN_SCALE_EPS = 1e-12
 
@@ -253,24 +254,20 @@ def save_batch(batch: NormalizedBatch, stem) -> None:
     """
     if batch.normalized_context.ndim != 2:
         raise ValidationError("save_batch writes one (T, k) window, not a stack")
-    stem = str(stem)
     names = batch.feature_names
-    with open(stem + "_normalized.csv", "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in batch.normalized_context:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    with open(stem + "_stats.csv", "w", newline="\n") as fh:
+    with open(f"{stem}_normalized.csv", "w", newline="\n") as fh:
+        fh.write(csv_line(names))
+        write_rows(fh, csv_line(["%.17g"] * len(names)), batch.normalized_context)
+    with open(f"{stem}_stats.csv", "w", newline="\n") as fh:
         fh.write("phase,step,feature,mu,scale\n")
         for phase, mu, scale in (
             ("context", batch.context_mu, batch.context_scale),
             ("horizon", batch.horizon_mu, batch.horizon_scale),
         ):
-            for t in range(mu.shape[0]):
-                for j, name in enumerate(names):
-                    fh.write(
-                        f"{phase},{t},{name},{mu[t, j]:.17g},{scale[t, j]:.17g}\n"
-                    )
-    with open(stem + ".json", "w") as fh:
+            cells = [[phase, "%d", n.replace("%", "%%"), "%.17g", "%.17g"] for n in names]
+            step = np.broadcast_to(np.arange(len(mu))[:, None], mu.shape)
+            write_rows(fh, "".join(map(csv_line, cells)), step, mu, scale)
+    with open(f"{stem}.json", "w") as fh:
         json.dump(
             {
                 "normalizer": batch.normalizer_id.value,

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
+
+_BLOCK_ROWS = 4096  # rows per % format call when writing CSV
 
 
 @dataclass(frozen=True)
 class SeriesFrame:
     """Immutable multivariate series indexed (time, feature).
 
-    ``values`` is always a 2-D float array with finite entries.
+    ``values`` is always a 2-D float array with finite entries; names are unique, non-empty.
     """
 
     values: np.ndarray
@@ -35,6 +39,10 @@ class SeriesFrame:
             raise ValidationError(
                 f"{len(names)} feature names for {values.shape[1]} columns"
             )
+        if "" in names or len(set(names)) < len(names):
+            j = next(j for j, n in enumerate(names) if n == "" or n in names[:j])
+            what = "empty" if names[j] == "" else f"duplicate {names[j]!r}"
+            raise ValidationError(f"{what} feature name in column {j}")
         object.__setattr__(self, "feature_names", names)
         self.values.setflags(write=False)
 
@@ -81,8 +89,8 @@ def load_csv(path) -> SeriesFrame:
     """Read a comma-separated numeric file into a SeriesFrame.
 
     Accepts LF or CRLF line endings; the first row is the header of
-    feature names. Non-numeric or non-finite cells are rejected with the
-    offending row/column named.
+    feature names, none of them a number. Non-numeric or non-finite cells
+    are rejected with the first offending row/column named.
     """
     with open(path, "r", newline="") as fh:
         return _parse_csv(fh, str(path))
@@ -90,42 +98,67 @@ def load_csv(path) -> SeriesFrame:
 
 def _parse_csv(fh, source: str) -> SeriesFrame:
     """The rows of the open text file ``fh``; ``source`` names it in errors."""
-    reader = csv.reader(fh)
-    rows = [row for row in reader if row]
+    rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValidationError(f"{source}: empty CSV")
     names = [c.strip() for c in rows[0]]
+    for j, name in enumerate(names):
+        if _float(name) is not None and np.isfinite(_float(name)):
+            raise ValidationError(f"{source}: header cell {j} is a number ({name!r})")
     rows = rows[1:]
     if not rows:
         raise ValidationError(f"{source}: header but no data rows")
     width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.float64)
+    try:
+        data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64)
+    except ValueError:
+        data = None
+    if data is None or set(map(len, rows)) != {width} or not np.isfinite(data).all():
+        _raise_first_fault(rows, width, source)
+    return SeriesFrame(data.reshape(len(rows), width), names)
+
+
+def _float(cell: str) -> float | None:
+    """``float(cell)``, or None if the cell is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _raise_first_fault(rows: list[list[str]], width: int, source: str) -> None:
+    """Raise the error naming the first ragged row or bad cell, in row-major order."""
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(
                 f"{source}: ragged row {i}: expected {width} cells, got {len(row)}"
             )
         for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{source}: non-numeric cell at row {i}, column {j}: {cell!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise ValidationError(
-                    f"{source}: non-finite value at row {i}, column {j}: {cell!r}"
-                )
-            data[i, j] = v
-    return SeriesFrame(data, names)
+            v = _float(cell)
+            if v is None or not np.isfinite(v):
+                what = "non-numeric cell" if v is None else "non-finite value"
+                raise ValidationError(f"{source}: {what} at row {i}, column {j}: {cell!r}")
+
+
+def csv_line(cells) -> str:
+    """One LF-terminated CSV row, each cell quoted only where it must be."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)  # so a cell holding \r is quoted
+    return out.getvalue()[:-2] + "\n"
+
+
+def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
+    """Write ``row_format`` % (row t of each (T, k) column, interleaved) for every t."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.stack([c[start : start + _BLOCK_ROWS] for c in columns], axis=-1)
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_csv(frame: SeriesFrame, path) -> None:
     """Emit LF-terminated CSV with a header row and 17-significant-digit reals."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(frame.feature_names) + "\n")
-        for row in frame.values:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        fh.write(csv_line(frame.feature_names))
+        write_rows(fh, csv_line(["%.17g"] * frame.n_features), frame.values)
 
 
 def split(frame: SeriesFrame, spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:

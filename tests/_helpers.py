@@ -1,23 +1,54 @@
 """Data transforms and checks that only the tests use.
 
 They build inputs for the shift, outlier and trend tests, check the
-MLP's backprop and read CSV text; the pipeline itself needs none of them.
+MLP's backprop, read CSV text and draw frames for the CSV writer tests;
+the pipeline itself needs none of them.
 """
 
 import io
+import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gasnorm import Activation, MlpSpec, SeriesFrame, TrainedModel
 from gasnorm.errors import ValidationError
 from gasnorm.mlp import _backward, _forward, init_layers
-from gasnorm.series import _parse_csv
+from gasnorm.series import _BLOCK_ROWS, _parse_csv
 
 
 def loads_csv(text: str) -> SeriesFrame:
     """``load_csv`` on a string instead of a file."""
     return _parse_csv(io.StringIO(text), "<string>")
 
+
+def _is_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+# feature names that survive a load: no surrounding blanks, not a number
+NAMES = st.text(alphabet='ab%,"\r\n 1', min_size=1, max_size=5).filter(
+    lambda s: s == s.strip() and not _is_number(s)
+)
+ROW_COUNTS = st.sampled_from(
+    [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+)
+EXTREMES = [5e-324, -5e-324, -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def frames(draw):
+    """Frames of any finite float64 values, 1-4 named features, rows across the block size."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.one_of(ROW_COUNTS, st.integers(1, 40)))
+    pool = draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64)
+    )
+    values = np.resize(np.array(pool + EXTREMES[: draw(st.integers(0, 6))]), (n, k))
+    return SeriesFrame(values, draw(st.lists(NAMES, min_size=k, max_size=k, unique=True)))
 
 def difference(frame: SeriesFrame, order: int = 1) -> SeriesFrame:
     """x_t - x_{t-order}; output is ``order`` steps shorter."""

@@ -6,6 +6,8 @@ scores, the Fisher information and the score steps) and never call into
 gasnorm's filter path; they take only its enum and error types.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -115,3 +117,36 @@ def rk4_lorenz_step(state, dt, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     k3 = f(s + dt / 2.0 * k2)
     k4 = f(s + dt * k3)
     return s + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+
+def _quoted(cells) -> str:
+    """The cells as one CSV row, without its line ending, quoted by the csv module."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)  # quotes \r as well as \n
+    return out.getvalue()[:-2]
+
+
+def write_csv_per_value(values, names, path):
+    """A CSV file written one ``format(v, ".17g")`` at a time: header, then rows."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(_quoted(names) + "\n")
+        for row in values:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+def save_batch_csvs_per_value(batch, stem):
+    """The two CSV files of ``save_batch``, one value and one stats row at a time."""
+    stem = str(stem)
+    names = batch.feature_names
+    write_csv_per_value(batch.normalized_context, names, stem + "_normalized.csv")
+    with open(stem + "_stats.csv", "w", newline="\n") as fh:
+        fh.write("phase,step,feature,mu,scale\n")
+        for phase, mu, scale in (
+            ("context", batch.context_mu, batch.context_scale),
+            ("horizon", batch.horizon_mu, batch.horizon_scale),
+        ):
+            for t in range(mu.shape[0]):
+                for j, name in enumerate(names):
+                    fh.write(
+                        f"{phase},{t},{_quoted([name])},{mu[t, j]:.17g},{scale[t, j]:.17g}\n"
+                    )

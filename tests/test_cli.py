@@ -153,6 +153,27 @@ class TestFitNormalizeForecast:
         assert code == 1
         assert "params" in err
 
+    def test_normalized_output_with_quoted_names_reads_back(self, tmp_path, capsys):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a,b",c%d\n1,2\n3,5\n4,4\n')
+        code, out, _ = run(
+            ["normalize", str(path), "--normalizer", "local_norm",
+             "--output-dir", str(tmp_path / "once")],
+            capsys,
+        )
+        assert code == 0
+        first = out.strip()
+        assert open(first).readline() == '"a,b",c%d\n'
+        stats = open(str(tmp_path / "once" / "batch_stats.csv")).read().splitlines()
+        assert stats[1].startswith('context,0,"a,b",') and stats[2].startswith("context,0,c%d,")
+        code, out, _ = run(
+            ["normalize", first, "--normalizer", "local_norm",
+             "--output-dir", str(tmp_path / "twice")],
+            capsys,
+        )
+        assert code == 0
+        assert load_csv(out.strip()).feature_names == ["a,b", "c%d"]
+
     def test_bad_csv_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("y\n1.0\nnot-a-number\n")
@@ -292,6 +313,24 @@ class TestInvalidInputExitsOne:
         code, _, err = run(["fit", str(path), "--output-dir", str(tmp_path)], capsys)
         assert code == 1
         assert "at least 10 observations" in err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("1.5,2", "header cell 0 is a number ('1.5')"),
+            ("x,x", "duplicate 'x' feature name in column 1"),
+            ("x,", "empty feature name in column 1"),
+        ],
+    )
+    def test_fit_on_a_bad_header(self, tmp_path, capsys, header, message):
+        rng = np.random.default_rng(5)
+        rows = "".join(f"{a},{b}\n" for a, b in (rng.normal(size=(30, 2)) * [1, 100]).tolist())
+        path = tmp_path / "bad_header.csv"
+        path.write_text(f"{header}\n{rows}")
+        code, _, err = run(["fit", str(path), "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "params.json").exists()
 
     @pytest.mark.parametrize("key", ["dataset", "split"])
     def test_experiment_config_missing_key(self, tmp_path, capsys, key):

@@ -1,11 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_filter
+from _helpers import frames
+from _oracles import naive_filter, save_batch_csvs_per_value
 from gasnorm import (
     Family,
     GasParams,
@@ -19,7 +22,7 @@ from gasnorm import (
     normalize,
 )
 from gasnorm.errors import ValidationError
-from gasnorm.normalization import save_batch
+from gasnorm.normalization import NormalizedBatch, save_batch
 from gasnorm.series import SeriesFrame, windows
 
 
@@ -345,6 +348,22 @@ def test_save_batch_files(tmp_path):
     doc = json.loads((tmp_path / "out.json").read_text())
     assert doc["normalizer"] == "local_norm"
     assert doc["horizon"] == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames(), st.sampled_from([1, 16, 4097]))
+def test_save_batch_csvs_match_per_value_oracle(frame, horizon):
+    v = frame.values
+    h = np.resize(v[::-1], (horizon, frame.n_features))
+    batch = NormalizedBatch(
+        v, np.roll(v, 1), v[::-1], h, -h, NormalizerKind.GLOBAL_NORM, frame.feature_names
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        save_batch(batch, Path(tmp) / "new")
+        save_batch_csvs_per_value(batch, Path(tmp) / "ref")
+        for suffix in ("_normalized.csv", "_stats.csv"):
+            new = (Path(tmp) / f"new{suffix}").read_bytes()
+            assert new == (Path(tmp) / f"ref{suffix}").read_bytes()
 
 
 def test_save_batch_rejects_a_stack(tmp_path):

@@ -1,9 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import difference, loads_csv
+from _helpers import difference, frames, loads_csv
+from _oracles import write_csv_per_value
 from gasnorm import SeriesFrame, SplitSpec, load_csv, split, windows, write_csv
 from gasnorm.errors import ValidationError
 
@@ -44,6 +48,57 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="ragged"):
             loads_csv("a,b\n1,2\n3\n")
 
+    @pytest.mark.parametrize(
+        "text, first",
+        [
+            ("a,b\n1,x\n3\n", "non-numeric cell at row 0, column 1"),
+            ("a,b\n1,2\n3\n4,x\n", "ragged row 1"),
+            ("a,b\n1,2\n3,x,5\n", "ragged row 1"),
+            ("a,b\n1,2\n3,4,5\n6\n", "ragged row 1"),
+            ("a,b\n1,inf\nx,2\n", "non-finite value at row 0, column 1"),
+            ("a,b\nx,inf\n", "non-numeric cell at row 0, column 0"),
+            ("a,b\n1,nan\n1,2,3\n", "non-finite value at row 0, column 1"),
+            ("a,b\n1,2\nx,inf\n", "non-numeric cell at row 1, column 0"),
+            ("a,b\n1,2\n1e999,x\n", "non-finite value at row 1, column 0"),
+        ],
+    )
+    def test_first_of_two_faults_is_named(self, text, first):
+        with pytest.raises(ValidationError, match=first):
+            loads_csv(text)
+
+    @pytest.mark.parametrize("header", ["1.5,2", "a,-3", "a,1e5"])
+    def test_numeric_header_cell_errors(self, header):
+        with pytest.raises(ValidationError, match="header cell"):
+            loads_csv(header + "\n3,4\n5,6\n")
+
+    def test_non_finite_header_names_load(self):
+        assert loads_csv("nan,inf\n3,4\n").feature_names == ["nan", "inf"]
+
+    def test_quoted_names_round_trip(self, tmp_path):
+        frame = loads_csv('"a,b",c\n1,2\n')
+        assert frame.feature_names == ["a,b", "c"]
+        write_csv(frame, tmp_path / "q.csv")
+        assert (tmp_path / "q.csv").read_text() == '"a,b",c\n1,2\n'
+        assert load_csv(tmp_path / "q.csv").feature_names == ["a,b", "c"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(frames())
+    def test_write_matches_per_value_oracle(self, frame):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+            write_csv(frame, new)
+            write_csv_per_value(frame.values, frame.feature_names, ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(frames())
+    def test_write_then_load_is_bit_exact(self, frame):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(frame, Path(tmp) / "rt.csv")
+            back = load_csv(Path(tmp) / "rt.csv")
+        assert back.values.tobytes() == frame.values.tobytes()
+        assert back.feature_names == frame.feature_names
+
     def test_crlf_accepted(self):
         frame = loads_csv("a\r\n1\r\n2\r\n")
         assert len(frame) == 2
@@ -68,6 +123,15 @@ class TestSeriesFrame:
         frame = make_frame(5)
         with pytest.raises(ValueError):
             frame.values[0, 0] = 7.0
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [(["x", "x"], "duplicate 'x' feature name in column 1"),
+         (["x", ""], "empty feature name in column 1")],
+    )
+    def test_rejects_duplicate_or_empty_names(self, names, message):
+        with pytest.raises(ValidationError, match=message):
+            SeriesFrame(np.zeros((3, 2)), names)
 
     def test_unknown_feature(self):
         with pytest.raises(ValidationError):
