@@ -8,12 +8,11 @@ denormalize its output.
 """
 
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz
-from .errors import FitError, GasNormError, NumericalError, ValidationError
+from .errors import FitError, GasNormError, NumericalError, ValidationError, from_keys, to_json
 from .evaluation import (
     EvalReport,
     ExperimentSpec,
     emit_report,
-    load_report,
     mase,
     run_experiment,
     select_gamma,

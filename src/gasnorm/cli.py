@@ -16,19 +16,20 @@ from dataclasses import fields
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz, write_spec_sidecar
-from .errors import NumericalError, ValidationError, check_keys, from_keys
-from .evaluation import EvalReport, ExperimentSpec, emit_report, mase, run_experiment
+from .errors import NumericalError, ValidationError, check_keys, from_keys, to_json
+from .evaluation import ExperimentSpec, emit_report, mase, run_experiment
 from .filtering import Family, GasParams
-from .fitting import FitConfig, fit_frame, fit_results_from_dict, fit_results_to_dict
+from .fitting import FitConfig, FitResult, fit_frame
 from .mlp import MlpSpec, TrainedModel, predict
 from .normalization import (
     NormalizerKind,
     NormalizerSpec,
     denormalize,
+    feature_moments,
     normalize,
     save_batch,
 )
-from .series import SeriesFrame, SplitSpec, load_csv, write_csv
+from .series import SeriesFrame, SplitSpec, csv_line, load_csv, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +44,7 @@ def _read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -102,13 +103,14 @@ def _cmd_fit(args) -> int:
     results = fit_frame(frame, config)
     path = _out(args, "params.json")
     with open(path, "w") as fh:
-        json.dump(fit_results_to_dict(results), fh, indent=2)
+        json.dump(to_json(results), fh, indent=2)
     print(path)
     return 0
 
 
 def _load_params(path) -> dict[str, GasParams]:
-    return {name: r.params for name, r in fit_results_from_dict(_read_json(path)).items()}
+    doc = check_keys(_read_json(path), path)
+    return {n: FitResult.from_dict(r, f"{path} feature {n!r}").params for n, r in doc.items()}
 
 
 def _make_normalizer(args, frame: SeriesFrame) -> NormalizerSpec:
@@ -118,11 +120,7 @@ def _make_normalizer(args, frame: SeriesFrame) -> NormalizerSpec:
             raise ValidationError("gas_norm requires --params")
         return NormalizerSpec(kind, gas_params=_load_params(args.params))
     if kind is NormalizerKind.GLOBAL_NORM:
-        stats = {
-            n: (float(np.mean(frame.feature(n))), float(np.var(frame.feature(n))))
-            for n in frame.feature_names
-        }
-        return NormalizerSpec(kind, global_stats=stats)
+        return NormalizerSpec(kind, global_stats=feature_moments(frame))
     return NormalizerSpec(kind)
 
 
@@ -141,7 +139,7 @@ def _cmd_forecast(args) -> int:
     nspec = _make_normalizer(args, frame)
     batch = normalize(nspec, frame.values, args.horizon, frame.feature_names)
     if args.model:
-        model = TrainedModel.from_dict(_read_json(args.model))
+        model = TrainedModel.from_dict(_read_json(args.model), f"model {args.model}")
         residual = predict(model, batch.normalized_context)
     else:
         # no residual model: the forecast is the filter's own statistics path
@@ -159,7 +157,7 @@ def _cmd_eval(args) -> int:
     train = load_csv(args.train)
     values = mase(actual.values, forecast.values, train.values, args.m)
     for name, v in zip(actual.feature_names, values):
-        print(f"{name},{v:.17g}")
+        sys.stdout.write(csv_line([name, f"{v:.17g}"]))
     return 0
 
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, to_json
 from .series import SeriesFrame
 
 
@@ -123,7 +123,5 @@ def gen_lorenz(spec: LorenzSpec) -> SeriesFrame:
 
 def write_spec_sidecar(spec, path) -> None:
     """JSON sidecar describing the generator, for reproducibility."""
-    d = asdict(spec)
-    d["generator"] = type(spec).__name__
     with open(path, "w") as fh:
-        json.dump(d, fh, indent=2)
+        json.dump({**to_json(spec), "generator": type(spec).__name__}, fh, indent=2)

@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package, and key checks for parsed JSON.
+"""Exception hierarchy shared across the package, and the JSON contract.
 
 The CLI maps ValidationError (and unreadable files) to exit code 1 and
-NumericalError to exit code 2; everything else is a plain crash.
+NumericalError to exit code 2; everything else is a plain crash. Every
+JSON file is written from ``to_json`` and read back through ``from_keys``.
 """
 
-from dataclasses import fields
+import enum
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 
 class GasNormError(Exception):
@@ -51,3 +55,23 @@ def from_keys(cls, d, where: str, required=()):
         raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+def to_json(obj):
+    """``obj`` as plain JSON values, the inverse of reading it with ``from_keys``.
+
+    A dataclass becomes an object of its fields in declaration order, an
+    enum its value and an ndarray (or numpy scalar) a list (or number);
+    dicts, lists and tuples are converted entry by entry.
+    """
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    return obj

@@ -10,11 +10,11 @@ from numbers import Integral, Real
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz
-from .errors import ValidationError
+from .errors import ValidationError, to_json
 from .filtering import Family
 from .fitting import FitConfig, fit_frame
 from .mlp import MlpSpec, predict, train
-from .normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
+from .normalization import NormalizerKind, NormalizerSpec, denormalize, feature_moments, normalize
 from .series import SeriesFrame, SplitSpec, load_csv, split, windows
 
 
@@ -121,18 +121,6 @@ class ReportRow:
     per_seed: tuple[float, ...] = ()
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "normalizer": self.normalizer,
-            "gamma": self.gamma,
-            "mase_mean": self.mase_mean,
-            "mase_stderr": self.mase_stderr,
-            "n_seeds": self.n_seeds,
-            "per_seed": list(self.per_seed),
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -143,27 +131,6 @@ class EvalReport:
             if r.normalizer == normalizer and (gamma is None or r.gamma == gamma):
                 return r
         raise ValidationError(f"no row for normalizer {normalizer!r}, gamma {gamma}")
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        rows = []
-        for r in d["rows"]:
-            rows.append(
-                ReportRow(
-                    r["dataset"],
-                    r["normalizer"],
-                    r["gamma"],
-                    r["mase_mean"],
-                    r["mase_stderr"],
-                    r["n_seeds"],
-                    tuple(r.get("per_seed", ())),
-                    r.get("error"),
-                )
-            )
-        return cls(tuple(rows))
 
 
 def load_dataset(dataset) -> SeriesFrame:
@@ -231,8 +198,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     stack and trains one forecaster per seed on them. For the adaptive
     normalizer, gamma is selected per seed on validation MASE and an extra
     ``gas_norm_selected`` row reports the test MASE at each seed's
-    selection. Failures are recorded per cell; completed cells still
-    make it into the report.
+    selection. Failures, a failed gas_norm fit included, are recorded
+    per cell; completed cells still make it into the report.
     """
     data = load_dataset(spec.dataset)
     train_f, val_f, test_f = split(data, spec.split)
@@ -246,6 +213,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     )
 
     nspecs: dict[tuple[str, float | None], NormalizerSpec] = {}
+    cell_errors: dict[tuple[str, float | None], str] = {}
     for kind in spec.normalizers:
         if kind is NormalizerKind.GAS_NORM:
             for gamma in spec.gammas:
@@ -257,21 +225,20 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
                     restarts=spec.fit_restarts,
                     max_iters=spec.fit_max_iters,
                 )
-                results = fit_frame(train_f, config)
+                try:
+                    results = fit_frame(train_f, config)
+                except (ValidationError, ArithmeticError) as exc:
+                    cell_errors[kind.value, gamma] = str(exc)
+                    continue
                 nspecs[kind.value, gamma] = NormalizerSpec(
                     kind, gas_params={n: r.params for n, r in results.items()}
                 )
         elif kind is NormalizerKind.GLOBAL_NORM:
-            global_stats = {
-                n: (float(np.mean(train_f.feature(n))), float(np.var(train_f.feature(n))))
-                for n in names
-            }
-            nspecs[kind.value, None] = NormalizerSpec(kind, global_stats=global_stats)
+            nspecs[kind.value, None] = NormalizerSpec(kind, global_stats=feature_moments(train_f))
         else:
             nspecs[kind.value, None] = NormalizerSpec(kind)
 
     cells: dict[tuple[str, float | None], list[float]] = {}
-    cell_errors: dict[tuple[str, float | None], str] = {}
     gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}
     for key, nspec in nspecs.items():
         try:
@@ -336,10 +303,6 @@ def emit_report(report: EvalReport, path) -> tuple[str, str]:
                 f"{r.mase_mean:.17g},{r.mase_stderr:.17g},{r.n_seeds}\n"
             )
     with open(json_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(to_json(report), fh, indent=2)
     return csv_path, json_path
 
-
-def load_report(json_path) -> EvalReport:
-    with open(json_path) as fh:
-        return EvalReport.from_dict(json.load(fh))

@@ -24,7 +24,7 @@ from numbers import Real
 import numpy as np
 
 from ._recursions import GAUSSIAN, STUDENT_T, filter_recursion
-from .errors import NumericalError, ValidationError, from_keys
+from .errors import NumericalError, ValidationError
 
 VARIANCE_FLOOR = 1e-8
 
@@ -77,25 +77,6 @@ class GasParams:
     @property
     def gamma_ratio(self) -> float:
         return self.gamma / (1.0 - self.gamma)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha_mu": self.alpha_mu,
-            "alpha_sigma": self.alpha_sigma,
-            "beta_mu": self.beta_mu,
-            "beta_sigma": self.beta_sigma,
-            "omega_mu": self.omega_mu,
-            "omega_sigma": self.omega_sigma,
-            "nu": self.nu,
-            "gamma": self.gamma,
-            "mu0": self.mu0,
-            "sigma2_0": self.sigma2_0,
-            "family": self.family.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GasParams":
-        return from_keys(cls, d, "params")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.optimize import Bounds, OptimizeResult, minimize
 
-from .errors import FitError, ValidationError, check_keys
+from .errors import FitError, ValidationError, check_keys, from_keys
 from .filtering import Family, GasParams, filter_series
 from .series import SeriesFrame
 
@@ -56,25 +56,12 @@ class FitResult:
     converged: bool
     evaluations: int  # objective evaluations: the initial point plus every restart's
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "evaluations": self.evaluations,
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        check_keys(d, "fit result", required=[f.name for f in fields(cls)])
-        return cls(
-            GasParams.from_dict(d["params"]),
-            d["objective"],
-            d["iterations"],
-            d["converged"],
-            d["evaluations"],
-        )
+    def from_dict(cls, d, where: str = "fit result") -> "FitResult":
+        """Read ``to_json(result)``: every field is required, and ``params`` is nested."""
+        params = check_keys(d, where, ["params"])["params"]
+        params = from_keys(GasParams, params, f"{where} params")
+        return from_keys(cls, {**d, "params": params}, where, [f.name for f in fields(cls)])
 
 
 def penalized_objective(params: GasParams, ys) -> float:
@@ -234,10 +221,3 @@ def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:
             warnings.warn(f"feature {name!r} failed to fit: {exc}", stacklevel=2)
     return results
 
-
-def fit_results_to_dict(results: dict[str, FitResult]) -> dict:
-    return {name: r.to_dict() for name, r in results.items()}
-
-
-def fit_results_from_dict(d: dict) -> dict[str, FitResult]:
-    return {name: FitResult.from_dict(v) for name, v in check_keys(d, "fit results").items()}

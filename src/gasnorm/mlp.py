@@ -10,11 +10,12 @@ map, which is the linear baseline used in the shift experiments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_keys, from_keys
 
 
 class Activation(enum.Enum):
@@ -52,39 +53,29 @@ class TrainedModel:
     input_shape: tuple[int, int]
     output_shape: tuple[int, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "activation": self.spec.activation.value,
-            "layer_widths": list(self.spec.layer_widths),
-            "learning_rate": self.spec.learning_rate,
-            "epochs": self.spec.epochs,
-            "batch_size": self.spec.batch_size,
-            "seed": self.spec.seed,
-            "train_loss_curve": self.train_loss_curve.tolist(),
-            "input_shape": list(self.input_shape),
-            "output_shape": list(self.output_shape),
-        }
+    def __post_init__(self):
+        for name in ("weights", "biases"):
+            arrays = [np.asarray(a, dtype=np.float64) for a in getattr(self, name)]
+            object.__setattr__(self, name, arrays)
+        object.__setattr__(self, "train_loss_curve", np.asarray(self.train_loss_curve, float))
+        for name in ("input_shape", "output_shape"):
+            shape = tuple(getattr(self, name))
+            if len(shape) != 2 or not all(isinstance(n, int) and n >= 1 for n in shape):
+                raise ValidationError(f"{name} must be two positive integers, got {shape}")
+            object.__setattr__(self, name, shape)
+        # the layers map the flattened input window, through each hidden width, to the output
+        n_in, n_out = math.prod(self.input_shape), math.prod(self.output_shape)
+        widths = [n_in, *self.spec.layer_widths, n_out]
+        want = [((a, b), (b,)) for a, b in zip(widths, widths[1:])]
+        got = [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
+        if got != want or len(self.weights) != len(self.biases):
+            raise ValidationError(f"weight and bias shapes {got} do not chain widths {widths}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainedModel":
-        spec = MlpSpec(
-            tuple(d["layer_widths"]),
-            Activation(d["activation"]),
-            d["learning_rate"],
-            d["epochs"],
-            d["batch_size"],
-            d["seed"],
-        )
-        return cls(
-            [np.asarray(w, dtype=np.float64) for w in d["weights"]],
-            [np.asarray(b, dtype=np.float64) for b in d["biases"]],
-            spec,
-            np.asarray(d["train_loss_curve"], dtype=np.float64),
-            tuple(d["input_shape"]),
-            tuple(d["output_shape"]),
-        )
+    def from_dict(cls, d, where: str = "model") -> "TrainedModel":
+        """Read ``to_json(model)``: every field is required, and ``spec`` is nested."""
+        spec = from_keys(MlpSpec, check_keys(d, where, ["spec"])["spec"], f"{where} spec")
+        return from_keys(cls, {**d, "spec": spec}, where, [f.name for f in fields(cls)])
 
 
 def init_layers(

@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, to_json
 from .filtering import (
     VARIANCE_FLOOR,
     GasParams,
     filter_series,
     forecast_statistics,
 )
-from .series import csv_line, write_rows
+from .series import SeriesFrame, csv_line, write_rows
 
 _MEAN_SCALE_EPS = 1e-12
 
@@ -85,6 +85,14 @@ class NormalizedBatch:
     @property
     def horizon(self) -> int:
         return self.horizon_mu.shape[-2]
+
+
+def feature_moments(frame: SeriesFrame) -> dict[str, tuple[float, float]]:
+    """Each feature's (mean, population variance) over ``frame``: global_norm's statistics."""
+    return {
+        n: (float(np.mean(frame.feature(n))), float(np.var(frame.feature(n))))
+        for n in frame.feature_names
+    }
 
 
 def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]]:
@@ -267,15 +275,12 @@ def save_batch(batch: NormalizedBatch, stem) -> None:
             cells = [[phase, "%d", n.replace("%", "%%"), "%.17g", "%.17g"] for n in names]
             step = np.broadcast_to(np.arange(len(mu))[:, None], mu.shape)
             write_rows(fh, "".join(map(csv_line, cells)), step, mu, scale)
+    sidecar = {
+        "normalizer": batch.normalizer_id,
+        "feature_names": names,
+        "context_length": batch.normalized_context.shape[0],
+        "horizon": batch.horizon,
+        "fallback": batch.fallback,
+    }
     with open(f"{stem}.json", "w") as fh:
-        json.dump(
-            {
-                "normalizer": batch.normalizer_id.value,
-                "feature_names": names,
-                "context_length": int(batch.normalized_context.shape[0]),
-                "horizon": int(batch.horizon),
-                "fallback": None if batch.fallback is None else batch.fallback.tolist(),
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(to_json(sidecar), fh, indent=2)

@@ -98,7 +98,10 @@ def load_csv(path) -> SeriesFrame:
 
 def _parse_csv(fh, source: str) -> SeriesFrame:
     """The rows of the open text file ``fh``; ``source`` names it in errors."""
-    rows = [row for row in csv.reader(fh) if row]
+    try:
+        rows = [row for row in csv.reader(fh) if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{source}: not a readable CSV file ({exc})") from None
     if not rows:
         raise ValidationError(f"{source}: empty CSV")
     names = [c.strip() for c in rows[0]]

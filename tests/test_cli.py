@@ -1,10 +1,12 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from gasnorm import GasParams, SeriesFrame, load_csv, write_csv
+from gasnorm import GasParams, MlpSpec, SeriesFrame, load_csv, predict, to_json, train, write_csv
+from gasnorm.normalization import denormalize, local_normalize
 from gasnorm.cli import experiment_spec_from_dict, main
 from gasnorm.datagen import ArSpec, LorenzSpec
 
@@ -98,6 +100,25 @@ def small_csv(tmp_path):
     return str(path)
 
 
+def model_inputs(data_csv, horizon):
+    """An MLP spec plus random training stacks that fit the whole of ``data_csv`` as context."""
+    frame = load_csv(data_csv)
+    rng = np.random.default_rng(1)
+    contexts = rng.normal(size=(6, *frame.values.shape))
+    targets = rng.normal(size=(6, horizon, frame.n_features))
+    return MlpSpec((4,), epochs=2, seed=0), contexts, targets
+
+
+def write_model(tmp_path, data_csv, horizon, edit=None):
+    """Write ``to_json`` of a trained model, after ``edit`` changes its document."""
+    doc = to_json(train(*model_inputs(data_csv, horizon)))
+    if edit:
+        edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestFitNormalizeForecast:
     def test_pipeline(self, tmp_path, small_csv, capsys):
         code, out, _ = run(
@@ -135,6 +156,19 @@ class TestFitNormalizeForecast:
         fc = load_csv(out.strip())
         assert fc.values.shape == (4, 1)
         assert np.all(np.isfinite(fc.values))
+
+    def test_forecast_with_a_model(self, tmp_path, small_csv, capsys):
+        model_path = write_model(tmp_path, small_csv, horizon=4)
+        code, out, _ = run(
+            ["forecast", small_csv, "--normalizer", "local_norm", "--model", model_path,
+             "--horizon", "4", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        model = train(*model_inputs(small_csv, horizon=4))
+        batch = local_normalize(load_csv(small_csv).values, 4)
+        expected = denormalize(predict(model, batch.normalized_context), batch)
+        np.testing.assert_array_equal(load_csv(out.strip()).values, expected)
 
     def test_local_norm_needs_no_params(self, tmp_path, small_csv, capsys):
         code, out, _ = run(
@@ -197,6 +231,19 @@ class TestEval:
         name, value = out.strip().split(",")
         assert name == "y"
         assert float(value) == pytest.approx(1.5)
+
+    def test_names_are_quoted(self, tmp_path, capsys):
+        for name, values in (("actual", [4.0, 5.0]), ("forecast", [3.0, 3.0]),
+                             ("train", [1.0, 2.0, 3.0])):
+            write_csv(SeriesFrame(np.array(values), ("a,b",)), tmp_path / f"{name}.csv")
+        code, out, _ = run(
+            ["eval", "--actual", str(tmp_path / "actual.csv"),
+             "--forecast", str(tmp_path / "forecast.csv"),
+             "--train", str(tmp_path / "train.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert list(csv.reader(out.splitlines())) == [["a,b", "1.5"]]
 
     def test_constant_train_exits_one(self, tmp_path, capsys):
         write_csv(SeriesFrame(np.array([4.0]), ("y",)), tmp_path / "actual.csv")
@@ -294,8 +341,20 @@ class TestInvalidInputExitsOne:
         assert code == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe{}", "can't decode byte 0xff"), (b"[" * 100_000, "recursion")],
+    )
+    def test_config_unreadable_as_json(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(content)
+        code, _, err = run(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: not valid JSON") and err.count("\n") == 1
+        assert message in err
+
     def test_params_with_unknown_key(self, tmp_path, small_csv, capsys):
-        params = GasParams(family="gaussian").to_dict()
+        params = to_json(GasParams(family="gaussian"))
         doc = {"y": {"params": {**params, "bogus": 1.0}, "objective": 0.0,
                      "iterations": 0, "converged": False, "evaluations": 1}}
         path = tmp_path / "params.json"
@@ -306,6 +365,48 @@ class TestInvalidInputExitsOne:
         )
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"y\n" + b"1" * 200_000 + b"\n", "field larger than field limit"),
+            (b"\xff\xfey\n1\n", "can't decode byte 0xff"),
+        ],
+    )
+    def test_unreadable_csv(self, tmp_path, capsys, content, message):
+        path = tmp_path / "unreadable.csv"
+        path.write_bytes(content)
+        code, _, err = run(
+            ["normalize", str(path), "--normalizer", "local_norm",
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            # the flat layout, with the spec's fields beside the weights
+            (lambda doc: doc.update(doc.pop("spec")), "'spec'"),
+            (lambda doc: doc["spec"].update(activation="bogus"), "bogus"),
+            (lambda doc: doc["weights"][0].pop(), "do not chain"),
+            (lambda doc: doc.update(input_shape=[120]), "input_shape"),
+            (lambda doc: doc.update(weights=5), "model"),
+        ],
+    )
+    def test_bad_model_file(self, tmp_path, small_csv, capsys, edit, named):
+        model_path = write_model(tmp_path, small_csv, horizon=4, edit=edit)
+        code, out, err = run(
+            ["forecast", small_csv, "--normalizer", "local_norm", "--model", model_path,
+             "--horizon", "4", "--output-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_fit_on_too_few_rows(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -355,7 +456,7 @@ class TestInvalidInputExitsOne:
 
     def test_params_entry_without_evaluations(self, tmp_path, small_csv, capsys):
         # params files written before the evaluation count was recorded
-        params = GasParams(family="gaussian").to_dict()
+        params = to_json(GasParams(family="gaussian"))
         doc = {"y": {"params": params, "objective": 0.0, "iterations": 0, "converged": False}}
         path = tmp_path / "params.json"
         path.write_text(json.dumps(doc))

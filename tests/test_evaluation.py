@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,10 @@ from gasnorm import (
     MlpSpec,
     SplitSpec,
     emit_report,
-    load_report,
     mase,
     run_experiment,
     select_gamma,
+    to_json,
 )
 import gasnorm.evaluation as evaluation_mod
 from gasnorm.errors import ValidationError
@@ -176,6 +178,23 @@ class TestRunExperiment:
         assert predicted == [len(test_windows)] * (2 * 2)
         assert val_given == [True] * 4
 
+    def test_failed_gas_norm_fit_is_its_cells_error(self):
+        # 9 training steps: too few to fit the filter, enough for the baselines
+        spec = tiny_spec(
+            dataset=ArSpec(length=20, seed=0),
+            normalizers=("gas_norm", "global_norm", "local_norm"),
+            split=SplitSpec(0.45, context_length=3, horizon=1),
+        )
+        report = run_experiment(spec)
+        for gamma in spec.gammas:
+            row = report.row("gas_norm", gamma)
+            assert row.n_seeds == 0
+            assert "need at least 10 observations" in row.error
+        for name in ("global_norm", "local_norm"):
+            assert report.row(name).n_seeds == 1
+            assert report.row(name).error is None
+        assert "gas_norm_selected" not in {r.normalizer for r in report.rows}
+
     def test_stderr_over_seeds(self):
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))
         row = run_experiment(spec).row("local_norm")
@@ -195,7 +214,8 @@ class TestReportIo:
     def test_round_trip(self, tmp_path):
         report = self.make_report()
         _, json_path = emit_report(report, tmp_path / "report")
-        assert load_report(json_path) == report
+        with open(json_path) as fh:
+            assert json.load(fh) == to_json(report)
 
     def test_csv_shape(self, tmp_path):
         csv_path, _ = emit_report(self.make_report(), tmp_path / "report")

@@ -14,7 +14,7 @@ from gasnorm import (
     forecast_statistics,
 )
 from gasnorm._recursions import filter_recursion
-from gasnorm.errors import ValidationError
+from gasnorm.errors import ValidationError, from_keys, to_json
 
 
 def gaussian_params(**kw):
@@ -108,7 +108,7 @@ class TestFilterSeries:
         c = 4.2
         p = gaussian_params(mu0=c, omega_mu=c * 0.1, beta_mu=0.9)
         # omega = (1 - beta) * c keeps the prediction at c
-        p = GasParams(**{**p.to_dict(), "omega_mu": (1 - 0.9) * c})
+        p = GasParams(**{**to_json(p), "omega_mu": (1 - 0.9) * c})
         trace = filter_series(p, np.full(50, c))
         np.testing.assert_allclose(trace.mu_prior, c, atol=1e-12)
 
@@ -275,8 +275,8 @@ class TestForecastStatistics:
 class TestGasParams:
     def test_json_round_trip(self):
         p = GasParams(alpha_mu=0.3, nu=20.0, family=Family.STUDENT_T, gamma=0.25)
-        assert GasParams.from_dict(p.to_dict()) == p
-        assert p.to_dict()["family"] == "student_t"
+        assert from_keys(GasParams, to_json(p), "params") == p
+        assert to_json(p)["family"] == "student_t"
 
     def test_numpy_scalars_are_held_as_floats(self):
         values = dict(alpha_mu=0.1, alpha_sigma=0.2, beta_mu=0.9, beta_sigma=0.8,

@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import replace
 
@@ -19,13 +20,8 @@ from gasnorm import (
     gen_ar,
     penalized_objective,
 )
-from gasnorm.errors import FitError, NumericalError, ValidationError
-from gasnorm.fitting import (
-    _default_bounds,
-    _initial_params,
-    fit_results_from_dict,
-    fit_results_to_dict,
-)
+from gasnorm.errors import FitError, NumericalError, ValidationError, to_json
+from gasnorm.fitting import FitResult, _default_bounds, _initial_params
 
 
 def iid_normal(n=200, seed=0):
@@ -231,5 +227,6 @@ class TestFitFrame:
         frame = SeriesFrame(np.random.default_rng(4).normal(size=(60, 1)), ["v"])
         results = fit_frame(frame, FitConfig(family=Family.STUDENT_T, nu=20.0,
                                              restarts=1, max_iters=40))
-        back = fit_results_from_dict(fit_results_to_dict(results))
+        doc = json.loads(json.dumps(to_json(results)))
+        back = {name: FitResult.from_dict(r) for name, r in doc.items()}
         assert back == results

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from _helpers import collapse_linear, gradient_check
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
-from gasnorm.errors import ValidationError
+from gasnorm.errors import ValidationError, to_json
 from gasnorm.mlp import init_layers
 
 
@@ -92,6 +94,20 @@ class TestPredict:
         out = predict(model, np.array([[2.0], [3.0]]))
         assert out[0, 0] == pytest.approx(2.0 * 0.5 + 3.0 * -1.0 + 0.25)
 
+    @pytest.mark.parametrize(
+        "weights, biases",
+        [
+            ([np.zeros((5, 2))], [np.zeros(2)]),  # 5 inputs for a (3, 2) window
+            ([np.zeros((6, 2))], [np.zeros(3)]),
+            ([np.zeros((6, 2))], []),
+            ([np.zeros((6, 2)), np.zeros((2, 2))], [np.zeros(2), np.zeros(2)]),
+        ],
+    )
+    def test_layers_that_do_not_chain_are_rejected(self, weights, biases):
+        spec = MlpSpec((), Activation.IDENTITY, epochs=1)
+        with pytest.raises(ValidationError, match="do not chain"):
+            TrainedModel(weights, biases, spec, np.zeros(1), (3, 2), (1, 2))
+
     def test_shape_mismatch_errors(self):
         model = train(MlpSpec((4,), epochs=1, seed=0), *linear_pairs(n=10))
         with pytest.raises(ValidationError):
@@ -160,6 +176,6 @@ def test_identity_network_collapses_to_affine():
 
 def test_serialization_round_trip():
     model = train(MlpSpec((4,), epochs=2, seed=0), *linear_pairs(n=10))
-    back = TrainedModel.from_dict(model.to_dict())
+    back = TrainedModel.from_dict(json.loads(json.dumps(to_json(model))))
     ctx = np.random.default_rng(7).normal(size=model.input_shape)
     np.testing.assert_array_equal(predict(model, ctx), predict(back, ctx))
