@@ -18,9 +18,9 @@ import numpy as np
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz, write_spec_sidecar
 from .errors import NumericalError, ValidationError, check_keys, from_keys, to_json
 from .evaluation import ExperimentSpec, emit_report, mase, run_experiment
-from .filtering import Family, GasParams
+from .filtering import GasParams
 from .fitting import FitConfig, FitResult, fit_frame
-from .mlp import MlpSpec, TrainedModel, predict
+from .mlp import TrainedModel, predict
 from .normalization import (
     NormalizerKind,
     NormalizerSpec,
@@ -91,15 +91,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     frame = load_csv(args.data)
-    config = FitConfig(
-        gamma=args.gamma,
-        family=Family(args.dist),
-        nu=args.nu,
-        seed=args.seed,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        fit_nu=args.fit_nu,
-    )
+    config = FitConfig(**{k: v for k, v in vars(args).items() if k in _fields(FitConfig)})
     results = fit_frame(frame, config)
     path = _out(args, "params.json")
     with open(path, "w") as fh:
@@ -110,7 +102,7 @@ def _cmd_fit(args) -> int:
 
 def _load_params(path) -> dict[str, GasParams]:
     doc = check_keys(_read_json(path), path)
-    return {n: FitResult.from_dict(r, f"{path} feature {n!r}").params for n, r in doc.items()}
+    return {n: from_keys(FitResult, r, f"{path} feature {n!r}").params for n, r in doc.items()}
 
 
 def _make_normalizer(args, frame: SeriesFrame) -> NormalizerSpec:
@@ -139,7 +131,7 @@ def _cmd_forecast(args) -> int:
     nspec = _make_normalizer(args, frame)
     batch = normalize(nspec, frame.values, args.horizon, frame.feature_names)
     if args.model:
-        model = TrainedModel.from_dict(_read_json(args.model), f"model {args.model}")
+        model = from_keys(TrainedModel, _read_json(args.model), f"model {args.model}")
         residual = predict(model, batch.normalized_context)
     else:
         # no residual model: the forecast is the filter's own statistics path
@@ -163,30 +155,29 @@ def _cmd_eval(args) -> int:
 
 def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
     check_keys(doc, "experiment config", ("dataset", "split"), _fields(ExperimentSpec))
-    ds = check_keys(doc["dataset"], "dataset")
+    ds = check_keys(doc["dataset"], "experiment config dataset")
     kind = ds.get("kind", "csv")
     if kind in _GENERATORS:
         values = {k: v for k, v in ds.items() if k != "kind"}
         dataset = from_keys(_GENERATORS[kind], values, f"{kind} dataset")
     else:
         dataset = check_keys(ds, "csv dataset", required=("path",))["path"]
-    forecaster = from_keys(MlpSpec, doc.get("forecaster", {}), "forecaster")
+        if not (isinstance(dataset, str) and dataset):
+            raise ValidationError(f"csv dataset path must be a non-empty string, got {dataset!r}")
     split_spec = from_keys(
-        SplitSpec, doc["split"], "split", ("train_fraction", "context_length", "horizon")
+        SplitSpec, doc["split"], "experiment config split", ("context_length", "horizon")
     )
     values = {
         "normalizers": ["gas_norm", "global_norm"],
+        "forecaster": {},
         **doc,
         "dataset": dataset,
-        "forecaster": forecaster,
         "split": split_spec,
     }
     return from_keys(ExperimentSpec, values, "experiment config")
 
 
 def _cmd_experiment(args) -> int:
-    if not args.config:
-        raise ValidationError("experiment requires --config")
     spec = experiment_spec_from_dict(_load_config(args))
     report = run_experiment(spec)
     os.makedirs(args.output_dir, exist_ok=True)
@@ -221,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit filter parameters per feature")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--dist", choices=["gaussian", "student_t"], default="student_t")
+    p.add_argument("--dist", dest="family", choices=["gaussian", "student_t"], default="student_t")
     p.add_argument("--nu", type=float, default=100.0)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("data", help="training CSV")
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full normalizer comparison")
-    p.add_argument("--config", help="JSON experiment config")
+    p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=_cmd_experiment)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, to_json
+from .errors import NumericalError, ValidationError, check_fields, to_json
 from .series import SeriesFrame
 
 
@@ -25,13 +25,12 @@ class ArSpec:
     require_stable: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
-        if self.length < 1:
-            raise ValidationError("length must be positive")
-        if self.noise_std <= 0:
-            raise ValidationError("noise_std must be positive")
-        if self.season_period < 1:
-            raise ValidationError("season_period must be positive")
+        check_fields(self)
+        for name in ("length", "noise_std", "season_period"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,15 @@ class LorenzSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.dt <= 0.05:
             raise ValidationError("dt must lie in (0, 0.05]")
         if self.steps < 1:
             raise ValidationError("steps must be at least 1")
         if self.noise_std is not None and self.noise_std < 0:
             raise ValidationError("noise_std must be non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def ar_is_stable(ar_coeffs) -> bool:

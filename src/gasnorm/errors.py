@@ -2,11 +2,16 @@
 
 The CLI maps ValidationError (and unreadable files) to exit code 1 and
 NumericalError to exit code 2; everything else is a plain crash. Every
-JSON file is written from ``to_json`` and read back through ``from_keys``.
+JSON file is written from ``to_json`` and read back through ``from_keys``;
+dataclasses check their field types with ``check_fields``.
 """
 
 import enum
-from dataclasses import fields, is_dataclass
+import functools
+import sys
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,19 +45,68 @@ def check_keys(d, where: str, required=(), allowed=None) -> dict:
     return d
 
 
+@functools.cache
+def _annotations(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+_SCALARS = {bool: (bool, "true or false"), int: (Integral, "an integer"),
+            float: (Real, "a finite number")}
+
+
+def _checked(tp, value, name: str):
+    """``value`` as the annotation ``tp`` asks, or a ValidationError naming ``name``."""
+    if tp in _SCALARS:
+        kind, want = _SCALARS[tp]
+        # only bool takes a bool; the bound rejects NaN, infinities and overlarge integers
+        ok = type(value) is tp or (isinstance(value, kind) and not isinstance(value, bool))
+        ok = ok and (tp is bool or abs(value) <= sys.float_info.max)
+    elif isinstance(tp, enum.EnumMeta):
+        ok = isinstance(value, tp) or value in [m.value for m in tp]
+        want = f"one of {[m.value for m in tp]}"
+    elif len(args := typing.get_args(tp)) == 2 and args[1] is type(None):  # X | None
+        return None if value is None else _checked(args[0], value, name)
+    elif typing.get_origin(tp) is tuple:
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        ok = isinstance(value, (list, tuple)) and (args[-1] is ... or len(value) == len(args))
+        if ok:
+            types = args[:1] * len(value) if args[-1] is ... else args
+            return tuple(_checked(types[i], v, f"{name} entry {i}") for i, v in enumerate(value))
+        want = "a list" if args[-1] is ... else f"a list of {len(args)} entries"
+    else:
+        return value  # arrays, dicts and unions are the class's own to check
+    if not ok:
+        raise ValidationError(f"{name} must be {want}, got {value!r}")
+    return value if type(value) is tp else tp(value)
+
+
+def check_fields(obj) -> None:
+    """Check each field of the dataclass ``obj`` against its annotation; store the converted value.
+
+    Fields annotated int, float, bool, an enum, ``tuple[X, ...]``, ``tuple[X, Y]`` or
+    ``X | None`` are checked here; other annotations are left to the class.
+    """
+    for name, tp in _annotations(type(obj)):
+        object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name))
+
+
 def from_keys(cls, d, where: str, required=()):
     """Build the dataclass ``cls`` from ``d``, naming any missing or unknown key.
 
-    A value of the wrong type or outside its set, such as a string where
-    a number belongs or an unknown enum name, fails the dataclass's own
-    checks with a TypeError or ValueError; it is reported as invalid
-    input under ``where``.
+    Fields without a default and those in ``required`` must be present. A
+    nested dataclass given as an object is read the same way, under
+    ``f"{where} {name}"``. A value of the wrong type or outside its range
+    fails the dataclass's own checks and is reported under ``where``.
     """
-    kwargs = check_keys(d, where, required, [f.name for f in fields(cls)])
+    required = [f.name for f in fields(cls) if f.name in required
+                or (f.default is MISSING and f.default_factory is MISSING)]
+    kwargs = dict(check_keys(d, where, required, [f.name for f in fields(cls)]))
+    for name, tp in _annotations(cls):
+        if is_dataclass(tp) and name in kwargs and not isinstance(kwargs[name], tp):
+            kwargs[name] = from_keys(tp, kwargs[name], f"{where} {name}")
     try:
         return cls(**kwargs)
-    except ValidationError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 

@@ -5,12 +5,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz
-from .errors import ValidationError, to_json
+from .errors import ValidationError, check_fields, to_json
 from .filtering import Family
 from .fitting import FitConfig, fit_frame
 from .mlp import MlpSpec, predict, train
@@ -71,33 +70,16 @@ class ExperimentSpec:
     stride: int = 1
 
     def __post_init__(self):
-        for name in ("normalizers", "gammas", "seeds"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValidationError(f"{name} must be a list, got {getattr(self, name)!r}")
+        check_fields(self)
         for name, low in (("stride", 1), ("mase_seasonality", 1), ("fit_restarts", 1),
                           ("fit_max_iters", 1), ("fit_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if isinstance(self.nu, bool) or not isinstance(self.nu, Real) or not np.isfinite(self.nu):
-            raise ValidationError(f"nu must be a finite number, got {self.nu!r}")
-        for name, kind, what in (("seeds", Integral, "integers"), ("gammas", Real, "numbers")):
-            values = getattr(self, name)
-            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
-            if bad:
-                raise ValidationError(f"{name} entries must be {what}, got {bad!r}")
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
         # duplicates are dropped: repeated entries would only repeat identical cells
-        object.__setattr__(
-            self,
-            "normalizers",
-            tuple(dict.fromkeys(NormalizerKind(n) for n in self.normalizers)),
-        )
-        object.__setattr__(self, "gammas", tuple(dict.fromkeys(float(g) for g in self.gammas)))
-        object.__setattr__(self, "seeds", tuple(dict.fromkeys(int(s) for s in self.seeds)))
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", Family(self.family))
-        if not self.seeds:
-            raise ValidationError("at least one seed is required")
+        for name in ("normalizers", "gammas", "seeds"):
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be non-empty and non-negative, got {self.seeds}")
         if any(not 0.0 <= g < 1.0 for g in self.gammas):
             raise ValidationError("gammas must lie in [0, 1)")
 

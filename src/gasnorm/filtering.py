@@ -17,14 +17,12 @@ recursion (static normalization).
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, fields
-from numbers import Real
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._recursions import GAUSSIAN, STUDENT_T, filter_recursion
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_fields
 
 VARIANCE_FLOOR = 1e-8
 
@@ -55,14 +53,8 @@ class GasParams:
     family: Family = Family.STUDENT_T
 
     def __post_init__(self):
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", Family(self.family))
-        for name in (f.name for f in fields(self) if f.name != "family"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
-            # Python floats: the filter loop is about twice as fast on them as on np.float64
-            object.__setattr__(self, name, float(value))
+        # stores Python floats: the filter loop is about twice as fast on them as on np.float64
+        check_fields(self)
         if self.alpha_mu < 0 or self.alpha_sigma < 0:
             raise ValidationError("learning rates alpha must be non-negative")
         if abs(self.beta_mu) >= 1 or abs(self.beta_sigma) >= 1:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import Bounds, OptimizeResult, minimize
 
-from .errors import FitError, ValidationError, check_keys, from_keys
+from .errors import FitError, ValidationError, check_fields
 from .filtering import Family, GasParams, filter_series
 from .series import SeriesFrame
 
@@ -38,14 +39,12 @@ class FitConfig:
     bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", Family(self.family))
+        check_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValidationError("gamma must lie in [0, 1)")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be at least 1")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be at least 1")
+        for name, low in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,8 @@ class FitResult:
     converged: bool
     evaluations: int  # objective evaluations: the initial point plus every restart's
 
-    @classmethod
-    def from_dict(cls, d, where: str = "fit result") -> "FitResult":
-        """Read ``to_json(result)``: every field is required, and ``params`` is nested."""
-        params = check_keys(d, where, ["params"])["params"]
-        params = from_keys(GasParams, params, f"{where} params")
-        return from_keys(cls, {**d, "params": params}, where, [f.name for f in fields(cls)])
+    def __post_init__(self):
+        check_fields(self)
 
 
 def penalized_objective(params: GasParams, ys) -> float:
@@ -215,8 +210,6 @@ def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:
         invalid = all(isinstance(exc, ValidationError) for exc in errors.values())
         raise (ValidationError if invalid else FitError)(f"every feature failed to fit: {reasons}")
     if errors:
-        import warnings
-
         for name, exc in errors.items():
             warnings.warn(f"feature {name!r} failed to fit: {exc}", stacklevel=2)
     return results

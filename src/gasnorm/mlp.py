@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_keys, from_keys
+from .errors import NumericalError, ValidationError, check_fields
 
 
 class Activation(enum.Enum):
@@ -35,13 +35,11 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.activation, str):
-            object.__setattr__(self, "activation", Activation(self.activation))
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        if any(w < 1 for w in self.layer_widths):
-            raise ValidationError("layer widths must be positive")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("learning_rate, epochs and batch_size must be positive")
+        check_fields(self)
+        if min((*self.layer_widths, self.learning_rate, self.epochs, self.batch_size)) <= 0:
+            raise ValidationError("layer_widths, learning_rate, epochs, batch_size must be > 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -49,33 +47,26 @@ class TrainedModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     spec: MlpSpec
-    train_loss_curve: np.ndarray
+    train_loss_curve: tuple[float, ...]
     input_shape: tuple[int, int]
     output_shape: tuple[int, int]
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("weights", "biases"):
-            arrays = [np.asarray(a, dtype=np.float64) for a in getattr(self, name)]
-            object.__setattr__(self, name, arrays)
-        object.__setattr__(self, "train_loss_curve", np.asarray(self.train_loss_curve, float))
-        for name in ("input_shape", "output_shape"):
-            shape = tuple(getattr(self, name))
-            if len(shape) != 2 or not all(isinstance(n, int) and n >= 1 for n in shape):
-                raise ValidationError(f"{name} must be two positive integers, got {shape}")
-            object.__setattr__(self, name, shape)
+            try:
+                object.__setattr__(self, name, [np.asarray(a, float) for a in getattr(self, name)])
+            except (TypeError, ValueError):
+                raise ValidationError(f"{name} must be a list of numeric arrays") from None
+        if min(self.input_shape + self.output_shape) < 1:
+            raise ValidationError("input_shape and output_shape must be positive")
         # the layers map the flattened input window, through each hidden width, to the output
         n_in, n_out = math.prod(self.input_shape), math.prod(self.output_shape)
         widths = [n_in, *self.spec.layer_widths, n_out]
         want = [((a, b), (b,)) for a, b in zip(widths, widths[1:])]
         got = [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
         if got != want or len(self.weights) != len(self.biases):
-            raise ValidationError(f"weight and bias shapes {got} do not chain widths {widths}")
-
-    @classmethod
-    def from_dict(cls, d, where: str = "model") -> "TrainedModel":
-        """Read ``to_json(model)``: every field is required, and ``spec`` is nested."""
-        spec = from_keys(MlpSpec, check_keys(d, where, ["spec"])["spec"], f"{where} spec")
-        return from_keys(cls, {**d, "spec": spec}, where, [f.name for f in fields(cls)])
+            raise ValidationError(f"weights and biases {got} do not chain widths {widths}")
 
 
 def init_layers(
@@ -181,7 +172,7 @@ def train(spec: MlpSpec, contexts, targets, val=None, patience: int = 10) -> Tra
     if best_snapshot is not None:
         weights, biases = best_snapshot
     return TrainedModel(
-        weights, biases, spec, np.asarray(losses), np.shape(contexts)[1:], np.shape(targets)[1:]
+        weights, biases, spec, losses, np.shape(contexts)[1:], np.shape(targets)[1:]
     )
 
 

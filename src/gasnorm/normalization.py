@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, to_json
+from .errors import ValidationError, check_fields, to_json
 from .filtering import (
     VARIANCE_FLOOR,
     GasParams,
@@ -51,8 +51,7 @@ class NormalizerSpec:
     global_stats: dict[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
-        if isinstance(self.kind, str):
-            object.__setattr__(self, "kind", NormalizerKind(self.kind))
+        check_fields(self)
         if (self.kind is NormalizerKind.GAS_NORM) != (self.gas_params is not None):
             raise ValidationError("gas_params must be given iff kind is gas_norm")
         if (self.kind is NormalizerKind.GLOBAL_NORM) != (self.global_stats is not None):

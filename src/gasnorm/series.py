@@ -9,7 +9,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 
 _BLOCK_ROWS = 4096  # rows per % format call when writing CSV
 
@@ -75,6 +75,7 @@ class SplitSpec:
     horizon: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError("train_fraction must be in (0, 1)")
         if not 0.0 <= self.val_fraction < 1.0:

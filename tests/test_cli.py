@@ -1,11 +1,30 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gasnorm import GasParams, MlpSpec, SeriesFrame, load_csv, predict, to_json, train, write_csv
+from gasnorm import (
+    ExperimentSpec,
+    FitResult,
+    GasParams,
+    MlpSpec,
+    SeriesFrame,
+    SplitSpec,
+    TrainedModel,
+    load_csv,
+    predict,
+    to_json,
+    train,
+    write_csv,
+)
 from gasnorm.normalization import denormalize, local_normalize
 from gasnorm.cli import experiment_spec_from_dict, main
 from gasnorm.datagen import ArSpec, LorenzSpec
@@ -394,6 +413,12 @@ class TestInvalidInputExitsOne:
             (lambda doc: doc["weights"][0].pop(), "do not chain"),
             (lambda doc: doc.update(input_shape=[120]), "input_shape"),
             (lambda doc: doc.update(weights=5), "model"),
+            (lambda doc: doc.update(input_shape=[20]), "input_shape must be a list of 2"),
+            (lambda doc: doc.update(output_shape=[4, 0]), "output_shape must be positive"),
+            (lambda doc: doc.update(weights="ab"), "weights"),
+            (lambda doc: doc.update(biases={}), "biases"),
+            (lambda doc: doc.update(train_loss_curve=True), "train_loss_curve"),
+            (lambda doc: doc.update(spec=3), "spec"),
         ],
     )
     def test_bad_model_file(self, tmp_path, small_csv, capsys, edit, named):
@@ -405,7 +430,7 @@ class TestInvalidInputExitsOne:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: model {model_path}") and err.count("\n") == 1
         assert named in err
 
     def test_fit_on_too_few_rows(self, tmp_path, capsys):
@@ -454,6 +479,24 @@ class TestInvalidInputExitsOne:
         assert code == 1
         assert "'params'" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("objective", "abc"), ("converged", "no"), ("evaluations", None), ("iterations", 2.5),
+         ("converged", 1), ("objective", None), ("params", [])],
+    )
+    def test_params_entry_value_of_wrong_type(self, tmp_path, small_csv, capsys, key, value):
+        doc = {"y": {"params": to_json(GasParams(family="gaussian")), "objective": 0.0,
+                     "iterations": 0, "converged": False, "evaluations": 1, key: value}}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["normalize", small_csv, "--params", str(path), "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {path} feature 'y'") and err.count("\n") == 1
+        assert key in err
+
     def test_params_entry_without_evaluations(self, tmp_path, small_csv, capsys):
         # params files written before the evaluation count was recorded
         params = to_json(GasParams(family="gaussian"))
@@ -485,6 +528,44 @@ class TestInvalidInputExitsOne:
         assert "gen ar config" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("ar", "length", 50.5),
+            ("ar", "seed", 1.5),
+            ("ar", "seed", -1),
+            ("ar", "trend_slope", "0"),
+            ("ar", "require_stable", 1),
+            ("lorenz", "initial", [1, 2]),
+            ("lorenz", "initial", [1, 2, "3"]),
+            ("lorenz", "steps", True),
+            ("lorenz", "noise_std", "0.1"),
+            ("lorenz", "seed", -1),
+        ],
+    )
+    def test_gen_config_bad_value(self, tmp_path, capsys, kind, key, value):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"kind": kind, key: value}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(["gen", "--config", str(cfg), "--output-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: gen {kind} config: {key} ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "ar", "--seed", "-1"], ["gen", "lorenz", "--seed", "-1"],
+         ["fit", "DATA", "--seed", "-1"]],
+    )
+    def test_negative_seed(self, tmp_path, small_csv, capsys, argv):
+        argv = [small_csv if a == "DATA" else a for a in argv]
+        out_dir = tmp_path / "out"
+        code, _, err = run([*argv, "--output-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed must be" in err
+        assert not out_dir.exists()
+
     def test_split_value_of_wrong_type(self, tmp_path, capsys):
         doc = TestExperiment().config_doc()
         doc["split"]["context_length"] = "20"
@@ -512,6 +593,26 @@ class TestInvalidInputExitsOne:
             ("seeds", [1.5, 1.9], "seeds"),
             ("seeds", ["2"], "seeds"),
             ("gammas", ["0.5"], "gammas"),
+            ("seeds", [-1], "seeds"),
+            ("seeds", [], "seeds"),
+            ("fit_seed", -1, "fit_seed"),
+            ("forecaster", {"batch_size": 8.5}, "batch_size"),
+            ("forecaster", {"epochs": 2.5}, "epochs"),
+            ("forecaster", {"layer_widths": [4.7]}, "layer_widths"),
+            ("forecaster", {"activation": 1}, "activation"),
+            ("forecaster", {"seed": -1}, "seed"),
+            ("forecaster", "abc", "forecaster"),
+            ("split", {"train_fraction": 0.6, "context_length": 10, "horizon": 2.0}, "horizon"),
+            ("split", {"train_fraction": 0.6, "context_length": 10, "horizon": True}, "horizon"),
+            ("dataset", {"kind": "ar", "season_period": 12.5}, "season_period"),
+            ("dataset", {"kind": "ar", "ar_coeffs": ["0.5"]}, "ar_coeffs"),
+            ("dataset", {"kind": "ar", "ar_coeffs": [True]}, "ar_coeffs"),
+            ("dataset", {"kind": "ar", "require_stable": "no"}, "require_stable"),
+            ("dataset", {"kind": "csv", "path": None}, "csv dataset path"),
+            ("dataset", {"kind": "csv", "path": ["a"]}, "csv dataset path"),
+            ("dataset", {"kind": "csv", "path": 5}, "csv dataset path"),
+            ("dataset", {"kind": "csv", "path": ""}, "csv dataset path"),
+            ("dataset", "abc", "dataset"),
         ],
     )
     def test_experiment_config_value_out_of_range(self, tmp_path, capsys, key, value, named):
@@ -553,3 +654,91 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     code, _, err = run(["fit", str(path), "--output-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "numerical failure" in err
+
+
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    return {int: "int", float: "float", str: "string", list: "list", dict: "object"}[type(value)]
+
+
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers() | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+# kinds a valid file may also hold in a field: a float field takes an integer, and
+# noise_std = null selects the default noise
+ALSO_VALID = {"float": {"int"}, "null": {"int", "float"}}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One valid document per input file kind, with the files and argv that read them."""
+    d = tmp_path_factory.mktemp("valid")
+    data = str(d / "data.csv")
+    write_csv(SeriesFrame(np.random.default_rng(0).normal(size=40).cumsum(), ("y",)), data)
+    params = {"y": {"params": to_json(GasParams(family="gaussian")), "objective": 0.0,
+                    "iterations": 0, "converged": False, "evaluations": 1}}
+    experiment = to_json(experiment_spec_from_dict(TestExperiment().config_doc()))
+    experiment["dataset"]["kind"] = "ar"
+    out = str(d / "out")
+    return {
+        "params": (params, ["normalize", data, "--params", "FILE", "--output-dir", out]),
+        "model": (to_json(train(*model_inputs(data, horizon=2))),
+                  ["forecast", data, "--normalizer", "local_norm", "--model", "FILE",
+                   "--horizon", "2", "--output-dir", out]),
+        "gen ar": ({"kind": "ar", **to_json(ArSpec())}, ["gen", "--config", "FILE",
+                                                          "--output-dir", out]),
+        "gen lorenz": ({"kind": "lorenz", **to_json(LorenzSpec())},
+                       ["gen", "--config", "FILE", "--output-dir", out]),
+        "experiment": (experiment, ["experiment", "--config", "FILE", "--output-dir", out]),
+    }, d
+
+
+# class: (file kind, keys from the document's root to the object of its fields, section named)
+READ_FROM = {
+    GasParams: ("params", ["y", "params"], "FILE feature 'y' params"),
+    FitResult: ("params", ["y"], "FILE feature 'y'"),
+    MlpSpec: ("model", ["spec"], "model FILE spec"),
+    TrainedModel: ("model", [], "model FILE"),
+    ArSpec: ("gen ar", [], "gen ar config"),
+    LorenzSpec: ("gen lorenz", [], "gen lorenz config"),
+    SplitSpec: ("experiment", ["split"], "experiment config split"),
+    ExperimentSpec: ("experiment", [], "experiment config"),
+}
+
+
+@pytest.mark.parametrize("cls", list(READ_FROM), ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_field_of_another_json_type_exits_one(valid_files, cls, data):
+    """Any one field of another JSON type exits 1, naming the field and the file or section."""
+    files, d = valid_files
+    file_kind, keys, section = READ_FROM[cls]
+    doc, argv = files[file_kind]
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in keys:
+        target = target[key]
+    name = data.draw(st.sampled_from([f.name for f in fields(cls)]), label="field")
+    valid = _json_kind(target[name])
+    kinds = sorted(set(JSON_VALUES) - {valid} - ALSO_VALID.get(valid, set()))
+    target[name] = data.draw(st.sampled_from(kinds).flatmap(JSON_VALUES.get), label="value")
+    path = d / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if a == "FILE" else a for a in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{name}\b", err)
+    assert section.replace("FILE", str(path)) in err

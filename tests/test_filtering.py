@@ -9,6 +9,7 @@ from _oracles import fd_scores, naive_filter, score_and_fim
 from gasnorm import (
     VARIANCE_FLOOR,
     Family,
+    FitConfig,
     GasParams,
     filter_series,
     forecast_statistics,
@@ -287,6 +288,12 @@ class TestGasParams:
             if f.name != "family":
                 assert type(getattr(p, f.name)) is float
         assert p == GasParams(**values)
+        # an integer in a float field is held as a float, and an int field holds a Python int
+        q = GasParams(mu0=np.int64(2), nu=np.int64(10))
+        assert type(q.mu0) is float and type(q.nu) is float
+        assert q == GasParams(mu0=2.0, nu=10.0)
+        config = FitConfig(seed=np.int64(3), max_iters=np.uint8(7))
+        assert type(config.seed) is int and type(config.max_iters) is int
 
     @pytest.mark.parametrize(
         "kw",

@@ -20,7 +20,7 @@ from gasnorm import (
     gen_ar,
     penalized_objective,
 )
-from gasnorm.errors import FitError, NumericalError, ValidationError, to_json
+from gasnorm.errors import FitError, NumericalError, ValidationError, from_keys, to_json
 from gasnorm.fitting import FitResult, _default_bounds, _initial_params
 
 
@@ -228,5 +228,5 @@ class TestFitFrame:
         results = fit_frame(frame, FitConfig(family=Family.STUDENT_T, nu=20.0,
                                              restarts=1, max_iters=40))
         doc = json.loads(json.dumps(to_json(results)))
-        back = {name: FitResult.from_dict(r) for name, r in doc.items()}
+        back = {name: from_keys(FitResult, r, name) for name, r in doc.items()}
         assert back == results

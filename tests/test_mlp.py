@@ -5,7 +5,7 @@ import pytest
 
 from _helpers import collapse_linear, gradient_check
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
-from gasnorm.errors import ValidationError, to_json
+from gasnorm.errors import ValidationError, from_keys, to_json
 from gasnorm.mlp import init_layers
 
 
@@ -176,6 +176,6 @@ def test_identity_network_collapses_to_affine():
 
 def test_serialization_round_trip():
     model = train(MlpSpec((4,), epochs=2, seed=0), *linear_pairs(n=10))
-    back = TrainedModel.from_dict(json.loads(json.dumps(to_json(model))))
+    back = from_keys(TrainedModel, json.loads(json.dumps(to_json(model))), "model")
     ctx = np.random.default_rng(7).normal(size=model.input_shape)
     np.testing.assert_array_equal(predict(model, ctx), predict(back, ctx))
