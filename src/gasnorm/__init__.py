@@ -32,10 +32,6 @@ from .normalization import (
     NormalizerKind,
     NormalizerSpec,
     denormalize,
-    gas_normalize,
-    global_normalize,
-    local_normalize,
-    mean_scale,
     normalize,
 )
 from .series import SeriesFrame, SplitSpec, load_csv, split, windows, write_csv

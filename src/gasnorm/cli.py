@@ -70,7 +70,7 @@ _GEN_FIELDS = _fields(ArSpec) | _fields(LorenzSpec)
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
     kind = args.kind or cfg.get("kind")
-    if kind not in _GENERATORS:
+    if kind not in list(_GENERATORS):  # a list, not the dict: the kind may be unhashable
         raise ValidationError(f"unknown generator kind {kind!r}")
     cls = _GENERATORS[kind]
     # spec flags default to None, so the ones given are the ones that are set
@@ -157,11 +157,13 @@ def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
     check_keys(doc, "experiment config", ("dataset", "split"), _fields(ExperimentSpec))
     ds = check_keys(doc["dataset"], "experiment config dataset")
     kind = ds.get("kind", "csv")
-    if kind in _GENERATORS:
+    if kind not in ("ar", "lorenz", "csv"):
+        raise ValidationError(f"unknown dataset kind {kind!r}: expected ar, lorenz or csv")
+    if kind != "csv":
         values = {k: v for k, v in ds.items() if k != "kind"}
         dataset = from_keys(_GENERATORS[kind], values, f"{kind} dataset")
     else:
-        dataset = check_keys(ds, "csv dataset", required=("path",))["path"]
+        dataset = check_keys(ds, "csv dataset", ("path",), ("kind", "path"))["path"]
         if not (isinstance(dataset, str) and dataset):
             raise ValidationError(f"csv dataset path must be a non-empty string, got {dataset!r}")
     split_spec = from_keys(

@@ -33,15 +33,18 @@ class FitError(NumericalError):
 
 
 def check_keys(d, where: str, required=(), allowed=None) -> dict:
-    """Return ``d`` if it is a dict with every ``required`` key and none outside ``allowed``."""
+    """Return ``d`` if it is a dict with every ``required`` key and none outside ``allowed``.
+
+    Otherwise one ValidationError names every missing and every unknown key.
+    """
     if not isinstance(d, dict):
         raise ValidationError(f"{where} must be a JSON object, got {type(d).__name__}")
     missing = [k for k in required if k not in d]
-    if missing:
-        raise ValidationError(f"{where} is missing keys {missing}")
     unknown = [] if allowed is None else sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValidationError(f"{where} has unknown keys {unknown}")
+    problems = [f"{what} keys {keys}" for what, keys in
+                (("is missing", missing), ("has unknown", unknown)) if keys]
+    if problems:
+        raise ValidationError(f"{where} {' and '.join(problems)}")
     return d
 
 
@@ -89,6 +92,13 @@ def check_fields(obj) -> None:
     """
     for name, tp in _annotations(type(obj)):
         object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name))
+
+
+def check_at_least(obj, **lows) -> None:
+    """Raise a ValidationError naming the first field of ``obj`` below its lower bound."""
+    for name, low in lows.items():
+        if getattr(obj, name) < low:
+            raise ValidationError(f"{name} must be at least {low}, got {getattr(obj, name)}")
 
 
 def from_keys(cls, d, where: str, required=()):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz
-from .errors import ValidationError, check_fields, to_json
+from .errors import ValidationError, check_at_least, check_fields, to_json
 from .filtering import Family
 from .fitting import FitConfig, fit_frame
 from .mlp import MlpSpec, predict, train
@@ -71,10 +71,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_fields(self)
-        for name, low in (("stride", 1), ("mase_seasonality", 1), ("fit_restarts", 1),
-                          ("fit_max_iters", 1), ("fit_seed", 0)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        check_at_least(self, stride=1, mase_seasonality=1, fit_restarts=1, fit_max_iters=1,
+                       fit_seed=0)
         # duplicates are dropped: repeated entries would only repeat identical cells
         for name in ("normalizers", "gammas", "seeds"):
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
@@ -245,15 +243,11 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             selected_gammas.append(chosen)
             selected_tests.append(by_gamma[chosen][1])
 
-    rows = []
-    for (normalizer, gamma), values in cells.items():
-        rows.append(_aggregate(spec.dataset_id, normalizer, gamma, values))
-    for (normalizer, gamma), message in cell_errors.items():
-        if (normalizer, gamma) not in cells:
-            rows.append(
-                ReportRow(spec.dataset_id, normalizer, gamma, float("nan"),
-                          float("nan"), 0, (), message)
-            )
+    rows = [_aggregate(spec.dataset_id, *key, values, cell_errors.get(key))
+            for key, values in cells.items()]
+    nan = float("nan")
+    rows += [ReportRow(spec.dataset_id, *key, nan, nan, 0, (), message)
+             for key, message in cell_errors.items() if key not in cells]
     if selected_tests:
         modal = max(set(selected_gammas), key=lambda g: (selected_gammas.count(g), -g))
         rows.append(
@@ -262,11 +256,11 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     return EvalReport(tuple(rows))
 
 
-def _aggregate(dataset: str, normalizer: str, gamma, values: list[float]) -> ReportRow:
+def _aggregate(dataset: str, normalizer: str, gamma, values: list[float], error=None) -> ReportRow:
     arr = np.asarray(values, dtype=np.float64)
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return ReportRow(
-        dataset, normalizer, gamma, float(arr.mean()), stderr, arr.size, tuple(values)
+        dataset, normalizer, gamma, float(arr.mean()), stderr, arr.size, tuple(values), error
     )
 
 

@@ -15,12 +15,12 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import Bounds, OptimizeResult, minimize
 
-from .errors import FitError, ValidationError, check_fields
+from .errors import FitError, ValidationError, check_at_least, check_fields
 from .filtering import Family, GasParams, filter_series
 from .series import SeriesFrame
 
@@ -36,15 +36,12 @@ class FitConfig:
     seed: int = 0
     fit_nu: bool = False
     nu: float = 100.0
-    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         check_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValidationError("gamma must lie in [0, 1)")
-        for name, low in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        check_at_least(self, seed=0, restarts=1, max_iters=1)
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,7 @@ class FitResult:
 
     def __post_init__(self):
         check_fields(self)
+        check_at_least(self, iterations=0, evaluations=1)
 
 
 def penalized_objective(params: GasParams, ys) -> float:
@@ -159,9 +157,9 @@ def fit(ys, config: FitConfig) -> FitResult:
 
     fit_nu = config.fit_nu and config.family is Family.STUDENT_T
     names = _PARAM_ORDER + ("nu",) if fit_nu else _PARAM_ORDER
-    bounds_map = {**_default_bounds(mean, var), **config.bounds}
-    lo = np.array([bounds_map[n][0] for n in names])
-    hi = np.array([bounds_map[n][1] for n in names])
+    bounds = _default_bounds(mean, var)
+    lo = np.array([bounds[n][0] for n in names])
+    hi = np.array([bounds[n][1] for n in names])
 
     template = _initial_params(config, mean, var)
     x0 = np.array([getattr(template, n) for n in names])

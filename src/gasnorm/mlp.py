@@ -123,11 +123,14 @@ def _rows(contexts, targets) -> tuple[np.ndarray, np.ndarray]:
     return X.reshape(len(X), -1), Y.reshape(len(Y), -1)
 
 
-def train(spec: MlpSpec, contexts, targets, val=None, patience: int = 10) -> TrainedModel:
+PATIENCE = 10  # epochs without a validation improvement before training stops
+
+
+def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
     """Mini-batch SGD on MSE of (W, L, k) contexts to (W, h, k) targets; seeded.
 
     When ``val``, a (contexts, targets) pair, is supplied, training stops
-    once validation MSE has not improved for ``patience`` consecutive
+    once validation MSE has not improved for ``PATIENCE`` consecutive
     epochs and the best-validation weights are returned; otherwise it
     runs the full epoch budget.
     """
@@ -167,7 +170,7 @@ def train(spec: MlpSpec, contexts, targets, val=None, patience: int = 10) -> Tra
                 stall = 0
             else:
                 stall += 1
-                if stall >= patience:
+                if stall >= PATIENCE:
                     break
     if best_snapshot is not None:
         weights, biases = best_snapshot

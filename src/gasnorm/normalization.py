@@ -1,13 +1,14 @@
 """Normalize context windows, denormalize horizon forecasts.
 
-All four normalizers share one contract: they emit a NormalizedBatch
-holding the normalized context plus the per-step (mu, scale) statistics
-needed to denormalize any forecast over the requested horizon via
-y = mu + scale * e. A context is one (T, k) window or a (..., T, k)
-stack of them, each normalized on its own. The adaptive normalizer uses
-the filter's one-step predictions theta_{t|t-1}, never the filtered
-theta_{t|t}, so the value at time t depends only on strictly earlier
-observations.
+Every normalizer is the same affine map: ``normalize`` sends each context
+value y to (y - mu) / scale, and ``denormalize`` sends a forecast
+residual e back to mu + scale * e over the horizon. The normalizers
+differ only in where (mu, scale) come from: gas_norm's filter gives them
+per step, local_norm, global_norm and mean scaling one pair per window.
+A context is one (T, k) window or a (..., T, k) stack of them, each
+normalized on its own. The adaptive normalizer uses the filter's one-step
+predictions theta_{t|t-1}, never the filtered theta_{t|t}, so the value
+at time t depends only on strictly earlier observations.
 """
 
 from __future__ import annotations
@@ -120,20 +121,14 @@ def _steps(stat: np.ndarray, ctx: np.ndarray, steps: int) -> np.ndarray:
     return np.broadcast_to(stat[..., None, :], (*ctx.shape[:-2], steps, ctx.shape[-1]))
 
 
-def gas_normalize(
-    context,
-    params: dict[str, GasParams],
-    horizon: int,
-    feature_names=None,
-) -> NormalizedBatch:
-    """Filter each feature over each context window and standardize online.
+def _gas_statistics(params: dict[str, GasParams], ctx: np.ndarray, horizon: int, names):
+    """Per-step context and horizon (mu, scale) of each feature's filter over each window.
 
     Each observation is normalized with the prediction made before it
     was seen; horizon statistics continue the filter's affine forecast
     recursion past the end of the window. Every window restarts the
     filter from the fitted initial state.
     """
-    ctx, names = _inputs(context, horizon, feature_names)
     missing = [n for n in names if n not in params]
     if missing:
         raise ValidationError(f"no fitted parameters for features {missing}")
@@ -149,102 +144,53 @@ def gas_normalize(
             c_mu[at], c_s2[at] = trace.mu_prior, trace.sigma2_prior
             last_mu[window], last_s2[window] = trace.mu_filt[-1], trace.sigma2_filt[-1]
         h_mu[..., j], h_s2[..., j] = forecast_statistics(params[name], last_mu, last_s2, horizon)
-    c_scale = _std(c_s2)
-    return NormalizedBatch(
-        (ctx - c_mu) / c_scale,
-        c_mu,
-        c_scale,
-        h_mu,
-        _std(h_s2),
-        NormalizerKind.GAS_NORM,
-        names,
-    )
+    return c_mu, _std(c_s2), h_mu, _std(h_s2)
 
 
-def local_normalize(context, horizon: int, feature_names=None) -> NormalizedBatch:
-    """Standardize with the context window's own mean and population variance."""
-    ctx, names = _inputs(context, horizon, feature_names)
-    T = ctx.shape[-2]
-    if T < 2:
-        raise ValidationError("local normalization needs a context of length >= 2")
-    mu = ctx.mean(axis=-2)
-    scale = _std(ctx.var(axis=-2))
-    mu_c, scale_c = _steps(mu, ctx, T), _steps(scale, ctx, T)
-    return NormalizedBatch(
-        (ctx - mu_c) / scale_c,
-        mu_c,
-        scale_c,
-        _steps(mu, ctx, horizon),
-        _steps(scale, ctx, horizon),
-        NormalizerKind.LOCAL_NORM,
-        names,
-    )
+def _window_statistics(spec: NormalizerSpec, ctx: np.ndarray, names):
+    """One (..., k) (mu, scale) per window, and mean scaling's fallback flags.
 
-
-def global_normalize(
-    context,
-    horizon: int,
-    global_stats: dict[str, tuple[float, float]],
-    feature_names=None,
-) -> NormalizedBatch:
-    """Standardize with training-set-wide mean and variance per feature."""
-    ctx, names = _inputs(context, horizon, feature_names)
-    missing = [n for n in names if n not in global_stats]
-    if missing:
-        raise ValidationError(f"no global statistics for features {missing}")
-    mu = np.array([global_stats[n][0] for n in names])
-    scale = _std(np.array([global_stats[n][1] for n in names]))
-    return NormalizedBatch(
-        (ctx - mu) / scale,
-        _steps(mu, ctx, ctx.shape[-2]),
-        _steps(scale, ctx, ctx.shape[-2]),
-        _steps(mu, ctx, horizon),
-        _steps(scale, ctx, horizon),
-        NormalizerKind.GLOBAL_NORM,
-        names,
-    )
-
-
-def mean_scale(context, horizon: int, feature_names=None) -> NormalizedBatch:
-    """Divide by the context mean; scale-only, mu channel stays at 0.
-
-    Features whose context mean is within 1e-12 of zero fall back to
-    scale 1 and are flagged in ``fallback``.
+    local_norm takes the window's mean and population variance, global_norm
+    the training moments. Mean scaling has mu = 0 and the window mean as
+    scale, or scale 1 where that mean is within 1e-12 of zero (flagged).
     """
-    ctx, names = _inputs(context, horizon, feature_names)
+    if spec.kind is NormalizerKind.LOCAL_NORM:
+        if ctx.shape[-2] < 2:
+            raise ValidationError("local normalization needs a context of length >= 2")
+        return ctx.mean(axis=-2), _std(ctx.var(axis=-2)), None
+    if spec.kind is NormalizerKind.GLOBAL_NORM:
+        missing = [n for n in names if n not in spec.global_stats]
+        if missing:
+            raise ValidationError(f"no global statistics for features {missing}")
+        mu = np.array([spec.global_stats[n][0] for n in names])
+        return mu, _std(np.array([spec.global_stats[n][1] for n in names])), None
     mean = ctx.mean(axis=-2)
     fallback = np.abs(mean) < _MEAN_SCALE_EPS
-    scale = np.where(fallback, 1.0, mean)
-    scale_c = _steps(scale, ctx, ctx.shape[-2])
-    scale_h = _steps(scale, ctx, horizon)
-    return NormalizedBatch(
-        ctx / scale_c,
-        np.zeros(scale_c.shape),
-        scale_c,
-        np.zeros(scale_h.shape),
-        scale_h,
-        NormalizerKind.MEAN_SCALING,
-        names,
-        fallback=fallback,
-    )
+    return np.zeros(mean.shape), np.where(fallback, 1.0, mean), fallback
 
 
 def normalize(spec: NormalizerSpec, context, horizon: int, feature_names=None) -> NormalizedBatch:
-    """Dispatch to the normalizer named by ``spec``."""
+    """Map the context to (y - mu) / scale with the statistics of ``spec.kind``.
+
+    gas_norm's statistics change at every step; the other normalizers'
+    hold one (mu, scale) per window over the context and the horizon.
+    """
+    ctx, names = _inputs(context, horizon, feature_names)
+    fallback = None
     if spec.kind is NormalizerKind.GAS_NORM:
-        return gas_normalize(context, spec.gas_params, horizon, feature_names)
-    if spec.kind is NormalizerKind.GLOBAL_NORM:
-        return global_normalize(context, horizon, spec.global_stats, feature_names)
-    if spec.kind is NormalizerKind.LOCAL_NORM:
-        return local_normalize(context, horizon, feature_names)
-    return mean_scale(context, horizon, feature_names)
+        c_mu, c_scale, h_mu, h_scale = _gas_statistics(spec.gas_params, ctx, horizon, names)
+    else:
+        mu, scale, fallback = _window_statistics(spec, ctx, names)
+        c_mu, c_scale = _steps(mu, ctx, ctx.shape[-2]), _steps(scale, ctx, ctx.shape[-2])
+        h_mu, h_scale = _steps(mu, ctx, horizon), _steps(scale, ctx, horizon)
+    return NormalizedBatch(
+        (ctx - c_mu) / c_scale, c_mu, c_scale, h_mu, h_scale, spec.kind, names, fallback
+    )
 
 
 def denormalize(residual_forecast, batch: NormalizedBatch) -> np.ndarray:
     """Affine recombination y = mu + scale * e over the stored horizon stats."""
     e = np.asarray(residual_forecast, dtype=np.float64)
-    if e.ndim == 1:
-        e = e[:, None]
     if e.shape != batch.horizon_mu.shape:
         raise ValidationError(
             f"residual shape {e.shape} does not match horizon stats {batch.horizon_mu.shape}"

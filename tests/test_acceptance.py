@@ -34,7 +34,6 @@ from gasnorm.fitting import _initial_params, penalized_objective
 from gasnorm.normalization import (
     NormalizerKind,
     NormalizerSpec,
-    gas_normalize,
     normalize,
 )
 from gasnorm.series import windows
@@ -98,7 +97,9 @@ def test_zero_strength_filter_reduces_to_static_normalization():
                 nu=100.0, gamma=0.0, mu0=m[j], sigma2_0=v[j],
                 family=Family.GAUSSIAN,
             )
-        gas = gas_normalize(values, params, horizon=3, feature_names=names)
+        gas = normalize(
+            NormalizerSpec(NormalizerKind.GAS_NORM, gas_params=params), values, 3, names
+        )
         stats = {n: (m[j], v[j]) for j, n in enumerate(names)}
         glob = normalize(
             NormalizerSpec(NormalizerKind.GLOBAL_NORM, global_stats=stats),

@@ -25,7 +25,7 @@ from gasnorm import (
     train,
     write_csv,
 )
-from gasnorm.normalization import denormalize, local_normalize
+from gasnorm.normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
 from gasnorm.cli import experiment_spec_from_dict, main
 from gasnorm.datagen import ArSpec, LorenzSpec
 
@@ -63,6 +63,14 @@ class TestGen:
         code, _, err = run(["gen", "--output-dir", str(tmp_path)], capsys)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("kind", ["bogus", ["ar"], {"ar": 1}])
+    def test_config_kind_outside_the_generators_exits_one(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"kind": kind}))
+        code, _, err = run(["gen", "--config", str(cfg), "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: unknown generator kind") and err.count("\n") == 1
 
     def test_lorenz_reads_noise_std(self, tmp_path, capsys):
         written = {}
@@ -185,7 +193,7 @@ class TestFitNormalizeForecast:
         )
         assert code == 0
         model = train(*model_inputs(small_csv, horizon=4))
-        batch = local_normalize(load_csv(small_csv).values, 4)
+        batch = normalize(NormalizerSpec(NormalizerKind.LOCAL_NORM), load_csv(small_csv).values, 4)
         expected = denormalize(predict(model, batch.normalized_context), batch)
         np.testing.assert_array_equal(load_csv(out.strip()).values, expected)
 
@@ -198,6 +206,19 @@ class TestFitNormalizeForecast:
         assert code == 0
         normalized = load_csv(out.strip()).values
         assert abs(normalized.mean()) < 1e-10
+
+    def test_global_norm_uses_the_file_moments(self, tmp_path, small_csv, capsys):
+        code, out, _ = run(
+            ["normalize", small_csv, "--normalizer", "global_norm",
+             "--horizon", "2", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        y = load_csv(small_csv).feature("y")
+        expected = (y - y.mean()) / np.sqrt(y.var())
+        np.testing.assert_array_equal(load_csv(out.strip()).feature("y"), expected)
+        sidecar = json.loads((tmp_path / "batch.json").read_text())
+        assert sidecar["normalizer"] == "global_norm"
 
     def test_gas_norm_without_params_exits_one(self, tmp_path, small_csv, capsys):
         code, _, err = run(
@@ -482,7 +503,8 @@ class TestInvalidInputExitsOne:
     @pytest.mark.parametrize(
         "key, value",
         [("objective", "abc"), ("converged", "no"), ("evaluations", None), ("iterations", 2.5),
-         ("converged", 1), ("objective", None), ("params", [])],
+         ("converged", 1), ("objective", None), ("params", []), ("iterations", -3),
+         ("evaluations", 0)],
     )
     def test_params_entry_value_of_wrong_type(self, tmp_path, small_csv, capsys, key, value):
         doc = {"y": {"params": to_json(GasParams(family="gaussian")), "objective": 0.0,
@@ -613,6 +635,8 @@ class TestInvalidInputExitsOne:
             ("dataset", {"kind": "csv", "path": 5}, "csv dataset path"),
             ("dataset", {"kind": "csv", "path": ""}, "csv dataset path"),
             ("dataset", "abc", "dataset"),
+            ("dataset", {"kind": "bogus", "path": "x.csv"}, "'bogus'"),
+            ("dataset", {"kind": ["csv"]}, "dataset kind"),
         ],
     )
     def test_experiment_config_value_out_of_range(self, tmp_path, capsys, key, value, named):
@@ -628,7 +652,7 @@ class TestInvalidInputExitsOne:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
-    @pytest.mark.parametrize("kind", ["ar", "lorenz"])
+    @pytest.mark.parametrize("kind", ["ar", "lorenz", "csv"])
     def test_dataset_with_unknown_key(self, tmp_path, capsys, kind):
         doc = TestExperiment().config_doc()
         doc["dataset"] = {"kind": kind, "bogus": 1}
@@ -654,6 +678,22 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     code, _, err = run(["fit", str(path), "--output-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t"])
+def test_filter_blow_up_exits_two(tmp_path, capsys, family):
+    data = tmp_path / "d.csv"
+    data.write_text("y\n0\n1e200\n0\n")
+    params = tmp_path / "params.json"
+    fitted = FitResult(GasParams(family=family, gamma=0.5), 0.0, 0, False, 1)
+    params.write_text(json.dumps({"y": to_json(fitted)}))
+    code, out, err = run(
+        ["normalize", str(data), "--params", str(params), "--output-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "numerical failure: filter state became non-finite at timestep 1\n"
 
 
 def _json_kind(value) -> str:

@@ -9,16 +9,19 @@ from gasnorm import (
     ArSpec,
     EvalReport,
     ExperimentSpec,
+    LorenzSpec,
     MlpSpec,
     SplitSpec,
     emit_report,
+    gen_ar,
     mase,
     run_experiment,
     select_gamma,
     to_json,
+    write_csv,
 )
 import gasnorm.evaluation as evaluation_mod
-from gasnorm.errors import ValidationError
+from gasnorm.errors import NumericalError, ValidationError
 from gasnorm.evaluation import ReportRow, load_dataset
 from gasnorm.series import split, windows
 
@@ -194,6 +197,54 @@ class TestRunExperiment:
             assert report.row(name).n_seeds == 1
             assert report.row(name).error is None
         assert "gas_norm_selected" not in {r.normalizer for r in report.rows}
+
+    def test_csv_dataset_scores_as_its_generator(self, tmp_path):
+        spec = tiny_spec(seeds=(0, 1))
+        path = tmp_path / "series.csv"
+        write_csv(gen_ar(spec.dataset), path)
+        from_csv = run_experiment(tiny_spec(dataset=str(path), seeds=(0, 1)))
+        generated = run_experiment(spec)
+        assert {r.dataset for r in from_csv.rows} == {"series"}
+        assert [r.per_seed for r in from_csv.rows] == [r.per_seed for r in generated.rows]
+
+    def test_lorenz_dataset(self):
+        spec = tiny_spec(dataset=LorenzSpec(steps=200), normalizers=("local_norm",))
+        (row,) = run_experiment(spec).rows
+        assert (row.dataset, row.n_seeds, row.error) == ("lorenz", 1, None)
+        assert np.isfinite(row.mase_mean)
+
+    def test_partly_failed_seeds_keep_their_error(self, monkeypatch):
+        real = evaluation_mod.train
+
+        def fails_seed_one(spec, *args):
+            if spec.seed == 1:
+                raise NumericalError("training loss became non-finite at epoch 0")
+            return real(spec, *args)
+
+        monkeypatch.setattr(evaluation_mod, "train", fails_seed_one)
+        spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))
+        row = run_experiment(spec).row("local_norm")
+        assert row.n_seeds == 2 and len(row.per_seed) == 2
+        assert row.error == "training loss became non-finite at epoch 0"
+
+    def test_non_finite_training_loss_is_the_cells_error(self):
+        forecaster = MlpSpec((8,), "identity", learning_rate=1e6, epochs=20, batch_size=16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(tiny_spec(normalizers=("local_norm",), forecaster=forecaster))
+        (row,) = report.rows
+        assert row.n_seeds == 0 and np.isnan(row.mase_mean)
+        assert "training loss became non-finite" in row.error
+
+    def test_normalize_failure_is_the_cells_error(self):
+        # local_norm needs two context steps; global_norm takes one
+        split_spec = SplitSpec(0.6, 0.2, context_length=1, horizon=2)
+        report = run_experiment(
+            tiny_spec(normalizers=("global_norm", "local_norm"), split=split_spec)
+        )
+        assert report.row("global_norm").n_seeds == 1
+        row = report.row("local_norm")
+        assert row.n_seeds == 0
+        assert row.error == "local normalization needs a context of length >= 2"
 
     def test_stderr_over_seeds(self):
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))

@@ -15,7 +15,7 @@ from gasnorm import (
     forecast_statistics,
 )
 from gasnorm._recursions import filter_recursion
-from gasnorm.errors import ValidationError, from_keys, to_json
+from gasnorm.errors import NumericalError, ValidationError, from_keys, to_json
 
 
 def gaussian_params(**kw):
@@ -235,6 +235,12 @@ class TestFilterSeries:
     def test_empty_series_errors(self):
         with pytest.raises(ValidationError):
             filter_series(gaussian_params(), [])
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_state_blow_up_names_its_timestep(self, family):
+        # 1e200 squared overflows the log-likelihood at the step that sees it
+        with pytest.raises(NumericalError, match="non-finite at timestep 1$"):
+            filter_series(GasParams(family=family, gamma=0.5), [0.0, 1e200, 0.0])
 
 
 class TestForecastStatistics:

@@ -102,13 +102,6 @@ class TestFit:
             lo, hi = bounds[name]
             assert lo <= getattr(result.params, name) <= hi
 
-    def test_custom_bounds_respected(self):
-        ys = iid_normal(100, seed=5)
-        config = FitConfig(gamma=0.5, family=Family.GAUSSIAN,
-                           bounds={"alpha_mu": (0.0, 0.01)}, max_iters=200)
-        result = fit(ys, config)
-        assert result.params.alpha_mu <= 0.01
-
     def test_theta0_pinned_to_training_moments(self):
         ys = iid_normal(100, seed=6) * 3.0 + 1.0
         result = fit(ys, FitConfig(family=Family.GAUSSIAN, restarts=1, max_iters=50))
@@ -139,12 +132,11 @@ class TestFit:
 
         monkeypatch.setattr(fitting_mod, "penalized_objective", counted)
         ys = iid_normal(150, seed=4) * 2.0 + 1.0
-        # both bounds exclude the moment-matched start (alpha 0.05, beta 0.95)
-        config = FitConfig(gamma=0.0, restarts=3,
-                           bounds={"alpha_mu": (0.2, 2.0), "beta_sigma": (0.0, 0.5)})
+        # nu = 5000 lies above its box (2.1, 1000), so the start is clipped to 1000
+        config = FitConfig(gamma=0.0, restarts=3, fit_nu=True, nu=5000.0)
         result = fit(ys, config)
         start = _initial_params(config, float(np.mean(ys)), float(np.var(ys)))
-        expected = replace(start, alpha_mu=0.2, beta_sigma=0.5)
+        expected = replace(start, nu=1000.0)
         assert evaluated == [expected]
         assert result.params == expected
         assert result.objective == 0.0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from _helpers import collapse_linear, gradient_check
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
 from gasnorm.errors import ValidationError, from_keys, to_json
-from gasnorm.mlp import init_layers
+from gasnorm.mlp import PATIENCE, init_layers
 
 
 def linear_pairs(n=200, l=4, k=2, h=2, seed=0):
@@ -52,8 +53,13 @@ class TestTrain:
         pairs = linear_pairs(n=80, seed=3)
         val = linear_pairs(n=20, seed=4)
         spec = MlpSpec((8,), Activation.IDENTITY, learning_rate=0.05, epochs=500, seed=0)
-        model = train(spec, *pairs, val=val, patience=5)
-        assert len(model.train_loss_curve) <= 500
+        model = train(spec, *pairs, val=val)
+        epochs = len(model.train_loss_curve)
+        assert epochs < 500
+        # the best epoch is the last before PATIENCE epochs without improvement
+        best = train(replace(spec, epochs=epochs - PATIENCE), *pairs)
+        for got, want in zip(model.weights + model.biases, best.weights + best.biases):
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_pairs_error(self):
         with pytest.raises(ValidationError):

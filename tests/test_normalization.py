@@ -15,15 +15,23 @@ from gasnorm import (
     NormalizerKind,
     NormalizerSpec,
     denormalize,
-    gas_normalize,
-    global_normalize,
-    local_normalize,
-    mean_scale,
     normalize,
 )
 from gasnorm.errors import ValidationError
 from gasnorm.normalization import NormalizedBatch, save_batch
 from gasnorm.series import SeriesFrame, windows
+
+
+LOCAL = NormalizerSpec(NormalizerKind.LOCAL_NORM)
+MEAN_SCALING = NormalizerSpec(NormalizerKind.MEAN_SCALING)
+
+
+def gas_spec(params):
+    return NormalizerSpec(NormalizerKind.GAS_NORM, gas_params=params)
+
+
+def global_spec(stats):
+    return NormalizerSpec(NormalizerKind.GLOBAL_NORM, global_stats=stats)
 
 
 def static_params(mean, var, gamma=0.0, family=Family.GAUSSIAN, **kw):
@@ -46,8 +54,8 @@ class TestGasNormalize:
         params = {
             f"f{j}": static_params(*stats[f"f{j}"], gamma=0.0) for j in range(2)
         }
-        gas = gas_normalize(ctx, params, horizon=4)
-        glob = global_normalize(ctx, 4, stats)
+        gas = normalize(gas_spec(params), ctx, 4)
+        glob = normalize(global_spec(stats), ctx, 4)
         np.testing.assert_allclose(gas.normalized_context, glob.normalized_context, atol=1e-12)
         np.testing.assert_allclose(gas.horizon_mu, glob.horizon_mu, atol=1e-12)
         np.testing.assert_allclose(gas.horizon_scale, glob.horizon_scale, atol=1e-12)
@@ -55,7 +63,7 @@ class TestGasNormalize:
     def test_constant_context_at_mu0_is_zero(self):
         c = 2.5
         ctx = np.full((20, 1), c)
-        batch = gas_normalize(ctx, {"f0": static_params(c, 1.0, gamma=0.5)}, horizon=2)
+        batch = normalize(gas_spec({"f0": static_params(c, 1.0, gamma=0.5)}), ctx, 2)
         np.testing.assert_allclose(batch.normalized_context, 0.0, atol=1e-12)
 
     def test_matches_oracle_recursion(self):
@@ -63,7 +71,7 @@ class TestGasNormalize:
         p = GasParams(family=Family.STUDENT_T, nu=20.0, gamma=0.4, alpha_mu=0.2,
                       alpha_sigma=0.15, beta_mu=0.9, beta_sigma=0.85,
                       omega_mu=0.05, omega_sigma=0.1, mu0=0.0, sigma2_0=1.0)
-        batch = gas_normalize(ys[:, None], {"f0": p}, horizon=1)
+        batch = normalize(gas_spec({"f0": p}), ys[:, None], 1)
         prior, _, _, _ = naive_filter(
             ys, "t", 0.2, 0.15, 0.9, 0.85, 0.05, 0.1, 20.0, 0.4, 0.0, 1.0
         )
@@ -76,7 +84,7 @@ class TestGasNormalize:
                       alpha_sigma=0.15, beta_mu=0.9, beta_sigma=0.85,
                       omega_mu=0.05, omega_sigma=0.1, mu0=0.0, sigma2_0=1.0)
         stack = np.random.default_rng(8).normal(scale=2.0, size=(6, 5, 1))
-        batch = gas_normalize(stack, {"f0": p}, horizon=3)
+        batch = normalize(gas_spec({"f0": p}), stack, 3)
         tag = "gaussian" if family is Family.GAUSSIAN else "t"
         for w, ys in enumerate(stack[:, :, 0]):
             _, filt, _, _ = naive_filter(
@@ -91,14 +99,14 @@ class TestGasNormalize:
 
     def test_missing_params_errors(self):
         with pytest.raises(ValidationError, match="f1"):
-            gas_normalize(np.ones((5, 2)), {"f0": static_params(1.0, 1.0)}, 1)
+            normalize(gas_spec({"f0": static_params(1.0, 1.0)}), np.ones((5, 2)), 1)
 
     def test_no_lookahead_prefix_property(self):
         rng = np.random.default_rng(2)
         ctx = rng.normal(size=(40, 1))
         p = static_params(0.0, 1.0, gamma=0.6)
-        full = gas_normalize(ctx, {"f0": p}, 1)
-        prefix = gas_normalize(ctx[:25], {"f0": p}, 1)
+        full = normalize(gas_spec({"f0": p}), ctx, 1)
+        prefix = normalize(gas_spec({"f0": p}), ctx[:25], 1)
         np.testing.assert_allclose(
             full.normalized_context[:25], prefix.normalized_context, atol=1e-14
         )
@@ -111,7 +119,7 @@ class TestGasNormalize:
             p = GasParams(family=Family.GAUSSIAN, gamma=gamma, alpha_mu=0.1,
                           alpha_sigma=0.1, beta_mu=0.999, beta_sigma=0.999,
                           omega_mu=0.0, omega_sigma=0.0, mu0=0.0, sigma2_0=1.0)
-            batch = gas_normalize(ys[:, None], {"f0": p}, 1)
+            batch = normalize(gas_spec({"f0": p}), ys[:, None], 1)
             errors.append(np.sum(np.abs(batch.context_mu[100:, 0] - level)))
         assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
 
@@ -121,8 +129,10 @@ class TestGasNormalize:
         kw = dict(gamma=0.5, alpha_mu=0.1, alpha_sigma=0.1, beta_mu=0.95,
                   beta_sigma=0.95, omega_mu=0.0, omega_sigma=0.05,
                   mu0=0.0, sigma2_0=1.0)
-        t_batch = gas_normalize(ys[:, None], {"f0": GasParams(family=Family.STUDENT_T, nu=20.0, **kw)}, 1)
-        g_batch = gas_normalize(ys[:, None], {"f0": GasParams(family=Family.GAUSSIAN, **kw)}, 1)
+        t_spec = gas_spec({"f0": GasParams(family=Family.STUDENT_T, nu=20.0, **kw)})
+        g_spec = gas_spec({"f0": GasParams(family=Family.GAUSSIAN, **kw)})
+        t_batch = normalize(t_spec, ys[:, None], 1)
+        g_batch = normalize(g_spec, ys[:, None], 1)
         d_t = abs(t_batch.context_mu[31, 0] - t_batch.context_mu[30, 0])
         d_g = abs(g_batch.context_mu[31, 0] - g_batch.context_mu[30, 0])
         assert d_t < d_g
@@ -130,7 +140,7 @@ class TestGasNormalize:
 
 class TestLocalNormalize:
     def test_hand_case_population_variance(self):
-        batch = local_normalize(np.array([[0.0], [2.0]]), horizon=2)
+        batch = normalize(LOCAL, np.array([[0.0], [2.0]]), 2)
         assert batch.context_mu[0, 0] == 1.0
         assert batch.context_scale[0, 0] == 1.0
         np.testing.assert_allclose(batch.normalized_context[:, 0], [-1.0, 1.0])
@@ -139,7 +149,7 @@ class TestLocalNormalize:
         rng = np.random.default_rng(3)
         ctx = rng.normal(size=(500, 1))
         ctx = (ctx - ctx.mean()) / ctx.std()
-        batch = local_normalize(ctx, 1)
+        batch = normalize(LOCAL, ctx, 1)
         np.testing.assert_allclose(batch.normalized_context, ctx, atol=1e-10)
 
     def test_outlier_shifts_local_more_than_gas(self):
@@ -151,28 +161,28 @@ class TestLocalNormalize:
                       alpha_sigma=0.05, beta_mu=0.95, beta_sigma=0.95,
                       omega_mu=0.0, omega_sigma=0.05, mu0=0.0, sigma2_0=1.0)
         d_local = abs(
-            local_normalize(spiked[:, None], 1).context_mu[0, 0]
-            - local_normalize(clean[:, None], 1).context_mu[0, 0]
+            normalize(LOCAL, spiked[:, None], 1).context_mu[0, 0]
+            - normalize(LOCAL, clean[:, None], 1).context_mu[0, 0]
         )
-        gas_clean = gas_normalize(clean[:, None], {"f0": p}, 1)
-        gas_spiked = gas_normalize(spiked[:, None], {"f0": p}, 1)
+        gas_clean = normalize(gas_spec({"f0": p}), clean[:, None], 1)
+        gas_spiked = normalize(gas_spec({"f0": p}), spiked[:, None], 1)
         d_gas = abs(gas_spiked.context_mu[13, 0] - gas_clean.context_mu[13, 0])
         assert d_local > d_gas
 
     def test_short_context_errors(self):
         with pytest.raises(ValidationError):
-            local_normalize(np.ones((1, 1)), 1)
+            normalize(LOCAL, np.ones((1, 1)), 1)
 
 
 class TestGlobalNormalize:
     def test_identity_stats(self):
         ctx = np.random.default_rng(5).normal(size=(30, 1))
-        batch = global_normalize(ctx, 2, {"f0": (0.0, 1.0)})
+        batch = normalize(global_spec({"f0": (0.0, 1.0)}), ctx, 2)
         np.testing.assert_allclose(batch.normalized_context, ctx, atol=1e-15)
 
     def test_round_trip(self):
         ctx = np.random.default_rng(6).normal(loc=3.0, scale=2.0, size=(10, 1))
-        batch = global_normalize(ctx, 10, {"f0": (3.0, 4.0)})
+        batch = normalize(global_spec({"f0": (3.0, 4.0)}), ctx, 10)
         back = denormalize(batch.normalized_context, batch)
         np.testing.assert_allclose(back, ctx, atol=1e-12)
 
@@ -180,40 +190,40 @@ class TestGlobalNormalize:
         T = 20000
         data = np.random.default_rng(7).normal(loc=5.0, scale=2.0, size=(T, 1))
         stats = {"f0": (float(data.mean()), float(data.var()))}
-        batch = global_normalize(data, 1, stats)
+        batch = normalize(global_spec(stats), data, 1)
         tol = 3.0 / np.sqrt(T)
         assert abs(batch.normalized_context.mean()) < tol
         assert abs(batch.normalized_context.var() - 1.0) < tol
 
     def test_missing_stats_errors(self):
         with pytest.raises(ValidationError):
-            global_normalize(np.ones((5, 1)), 1, {"other": (0.0, 1.0)})
+            normalize(global_spec({"other": (0.0, 1.0)}), np.ones((5, 1)), 1)
 
 
 class TestMeanScale:
     def test_constant_context(self):
-        batch = mean_scale(np.full((8, 1), 4.0), 2)
+        batch = normalize(MEAN_SCALING, np.full((8, 1), 4.0), 2)
         np.testing.assert_allclose(batch.normalized_context, 1.0)
 
     def test_hand_case(self):
-        batch = mean_scale(np.array([[1.0], [3.0]]), 1)
+        batch = normalize(MEAN_SCALING, np.array([[1.0], [3.0]]), 1)
         assert batch.horizon_scale[0, 0] == 2.0
         np.testing.assert_allclose(batch.normalized_context[:, 0], [0.5, 1.5])
 
     def test_zero_mean_fallback(self):
         ctx = np.array([[1.0], [-1.0]])
-        batch = mean_scale(ctx, 1)
+        batch = normalize(MEAN_SCALING, ctx, 1)
         assert batch.fallback[0]
         np.testing.assert_allclose(batch.normalized_context, ctx)
 
     def test_mu_channel_zero(self):
-        batch = mean_scale(np.array([[2.0], [4.0]]), 3)
+        batch = normalize(MEAN_SCALING, np.array([[2.0], [4.0]]), 3)
         assert np.all(batch.context_mu == 0.0)
         assert np.all(batch.horizon_mu == 0.0)
 
     def test_negative_mean_round_trip(self):
         ctx = np.array([[-1.0], [-3.0]])
-        batch = mean_scale(ctx, 2)
+        batch = normalize(MEAN_SCALING, ctx, 2)
         residual = np.array([[1.5], [0.5]])
         np.testing.assert_allclose(denormalize(residual, batch), -2.0 * residual)
 
@@ -222,7 +232,7 @@ class TestDenormalize:
     def test_zero_residual_gives_mu_path(self):
         ctx = np.random.default_rng(8).normal(size=(30, 1))
         p = static_params(0.0, 1.0, gamma=0.5)
-        batch = gas_normalize(ctx, {"f0": p}, 5)
+        batch = normalize(gas_spec({"f0": p}), ctx, 5)
         out = denormalize(np.zeros((5, 1)), batch)
         np.testing.assert_allclose(out, batch.horizon_mu)
 
@@ -230,12 +240,12 @@ class TestDenormalize:
         p = GasParams(family=Family.GAUSSIAN, gamma=0.5, beta_mu=0.0, omega_mu=7.0,
                       alpha_mu=0.1, alpha_sigma=0.1, beta_sigma=0.9,
                       omega_sigma=0.1, mu0=0.0, sigma2_0=1.0)
-        batch = gas_normalize(np.random.default_rng(9).normal(size=(10, 1)), {"f0": p}, 4)
+        batch = normalize(gas_spec({"f0": p}), np.random.default_rng(9).normal(size=(10, 1)), 4)
         out = denormalize(np.zeros((4, 1)), batch)
         np.testing.assert_allclose(out, 7.0)
 
     def test_shape_mismatch_errors(self):
-        batch = local_normalize(np.ones((5, 2)) + np.arange(5)[:, None], 3)
+        batch = normalize(LOCAL, np.ones((5, 2)) + np.arange(5)[:, None], 3)
         with pytest.raises(ValidationError):
             denormalize(np.zeros((2, 2)), batch)
 
@@ -283,6 +293,17 @@ def test_horizon_below_one_rejected(kind, horizon):
     )
     with pytest.raises(ValidationError, match="horizon"):
         normalize(spec, np.arange(1.0, 6.0), horizon)
+
+
+@pytest.mark.parametrize(
+    "context, names, message",
+    [(np.empty((0, 1)), None, "non-empty"), (np.array([[1.0], [np.nan]]), None, "non-finite"),
+     (np.ones((4, 2)), ["a"], "feature_names")],
+)
+@pytest.mark.parametrize("spec", [LOCAL, MEAN_SCALING], ids=["local", "mean_scaling"])
+def test_bad_context_rejected(spec, context, names, message):
+    with pytest.raises(ValidationError, match=message):
+        normalize(spec, context, 1, names)
 
 
 BATCH_ARRAYS = ("normalized_context", "context_mu", "context_scale", "horizon_mu",
@@ -338,7 +359,7 @@ def test_stack_is_bit_identical_to_each_window_alone(
 
 def test_save_batch_files(tmp_path):
     ctx = np.random.default_rng(11).normal(size=(6, 2))
-    batch = local_normalize(ctx, 2, ["a", "b"])
+    batch = normalize(LOCAL, ctx, 2, ["a", "b"])
     stem = tmp_path / "out"
     save_batch(batch, stem)
     assert (tmp_path / "out_normalized.csv").exists()
@@ -367,7 +388,7 @@ def test_save_batch_csvs_match_per_value_oracle(frame, horizon):
 
 
 def test_save_batch_rejects_a_stack(tmp_path):
-    batch = local_normalize(np.random.default_rng(12).normal(size=(3, 6, 2)), 2)
+    batch = normalize(LOCAL, np.random.default_rng(12).normal(size=(3, 6, 2)), 2)
     with pytest.raises(ValidationError, match="stack"):
         save_batch(batch, tmp_path / "out")
     assert not list(tmp_path.iterdir())
