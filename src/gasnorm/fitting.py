@@ -7,22 +7,26 @@ feature with a bounded Nelder-Mead simplex search and multiplicative
 multi-start, which copes with the non-smoothness near the stability
 boundary without needing gradients. The restarts are independent and
 run in parallel worker processes.
+
+scipy is imported by ``fit`` alone, so a command that never fits does not
+load it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import Bounds, OptimizeResult, minimize
 
 from .errors import FitError, ValidationError, check_at_least, check_fields
 from .filtering import Family, GasParams, filter_series
 from .series import SeriesFrame
+
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
 
 _MOMENT_FLOOR = 1e-8
 
@@ -112,6 +116,8 @@ def _negative(x: np.ndarray, template: GasParams, fit_nu: bool, ys: np.ndarray) 
 
 def _nelder_mead(task) -> OptimizeResult:
     """One bounded Nelder-Mead run; module-level so that a worker process can run it."""
+    from scipy.optimize import Bounds, minimize  # loaded by ``fit`` before the workers fork
+
     start, lo, hi, max_iters, args = task
     return minimize(
         _negative,
@@ -131,6 +137,9 @@ def _run_restarts(tasks: list) -> list[OptimizeResult]:
     and scipy, which costs about as much as one restart. With one worker,
     or where fork is unavailable, they run in this process.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = 1
     if "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity"):
         workers = min(len(tasks), len(os.sched_getaffinity(0)))
@@ -152,8 +161,12 @@ def fit(ys, config: FitConfig) -> FitResult:
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if ys.size < 10:
         raise ValidationError(f"need at least 10 observations to fit, got {ys.size}")
-    mean = float(np.mean(ys))
-    var = max(float(np.var(ys)), _MOMENT_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(ys))
+        var = float(np.var(ys))
+    if not np.isfinite(var):
+        raise ValidationError(f"training variance must be finite, got {var}")
+    var = max(var, _MOMENT_FLOOR)
 
     fit_nu = config.fit_nu and config.family is Family.STUDENT_T
     names = _PARAM_ORDER + ("nu",) if fit_nu else _PARAM_ORDER
@@ -177,6 +190,9 @@ def fit(ys, config: FitConfig) -> FitResult:
     for _ in range(config.restarts - 1):
         factors = rng.uniform(0.5, 1.5, size=x0.shape)
         starts.append(np.clip(x0 * factors, lo, hi))
+
+    # here, not in the workers: a forked worker inherits the module instead of importing it
+    import scipy.optimize  # noqa: F401
 
     args = (template, fit_nu, ys)
     results = _run_restarts([(start, lo, hi, config.max_iters, args) for start in starts])

@@ -1,16 +1,21 @@
 """Data transforms and checks that only the tests use.
 
 They build inputs for the shift, outlier and trend tests, check the
-MLP's backprop, read CSV text and draw frames for the CSV writer tests;
-the pipeline itself needs none of them.
+MLP's backprop, read CSV text, draw frames for the CSV writer tests and
+run code in a fresh interpreter; the pipeline itself needs none of them.
 """
 
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 from hypothesis import strategies as st
 
+import gasnorm
 from gasnorm import Activation, MlpSpec, SeriesFrame, TrainedModel
 from gasnorm.errors import ValidationError
 from gasnorm.mlp import _backward, _forward, init_layers
@@ -49,6 +54,19 @@ def frames(draw):
     )
     values = np.resize(np.array(pool + EXTREMES[: draw(st.integers(0, 6))]), (n, k))
     return SeriesFrame(values, draw(st.lists(NAMES, min_size=k, max_size=k, unique=True)))
+
+
+def fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run in a new Python process that imports this gasnorm."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gasnorm.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 def difference(frame: SeriesFrame, order: int = 1) -> SeriesFrame:
     """x_t - x_{t-order}; output is ``order`` steps shorter."""

@@ -104,8 +104,28 @@ def fd_scores(family, y, mu, sigma2, nu, h=1e-6):
     return d_mu, d_s2
 
 
+def ar_values(spec):
+    """``gen_ar``'s recursion on numpy arrays and numpy scalars."""
+    rng = np.random.default_rng(spec.seed)
+    eps = rng.normal(0.0, spec.noise_std, size=spec.length)
+    coeffs = np.asarray(spec.ar_coeffs)
+    t = np.arange(spec.length)
+    deterministic = spec.season_amplitude * np.sin(2.0 * np.pi * t / spec.season_period)
+    deterministic = deterministic + spec.trend_slope * t
+    x = np.zeros(spec.length)
+    for i in range(spec.length):
+        ar = 0.0
+        for j in range(min(coeffs.size, i)):
+            ar += coeffs[j] * x[i - 1 - j]
+        x[i] = ar + eps[i] + deterministic[i]
+    return x[:, None]
+
+
 def rk4_lorenz_step(state, dt, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
-    """One classic Runge-Kutta step, written out longhand."""
+    """One classic Runge-Kutta step on a numpy state, written out longhand.
+
+    Its operations are grouped as ``gen_lorenz``'s, so the two agree bit for bit.
+    """
 
     def f(s):
         x, y, z = s
@@ -113,10 +133,27 @@ def rk4_lorenz_step(state, dt, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
 
     s = np.asarray(state, dtype=float)
     k1 = f(s)
-    k2 = f(s + dt / 2.0 * k1)
-    k3 = f(s + dt / 2.0 * k2)
+    k2 = f(s + 0.5 * dt * k1)
+    k3 = f(s + 0.5 * dt * k2)
     k4 = f(s + dt * k3)
-    return s + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    return s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def lorenz_states(spec):
+    """``gen_lorenz`` on numpy arrays, one ``rk4_lorenz_step`` per step."""
+    states = np.empty((spec.steps, 3))
+    state = np.asarray(spec.initial, dtype=np.float64)
+    for i in range(spec.steps):
+        state = rk4_lorenz_step(state, spec.dt, spec.sigma, spec.rho, spec.beta)
+        states[i] = state
+    if spec.noise_std is None:
+        noise_std = 0.005 * states.std(axis=0)
+    else:
+        noise_std = np.full(3, float(spec.noise_std))
+    if np.any(noise_std > 0):
+        rng = np.random.default_rng(spec.seed)
+        states = states + rng.normal(0.0, 1.0, size=states.shape) * noise_std
+    return states
 
 
 def _quoted(cells) -> str:

@@ -25,6 +25,7 @@ from gasnorm import (
     train,
     write_csv,
 )
+from _helpers import fresh_interpreter
 from gasnorm.normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
 from gasnorm.cli import experiment_spec_from_dict, main
 from gasnorm.datagen import ArSpec, LorenzSpec
@@ -71,6 +72,17 @@ class TestGen:
         code, _, err = run(["gen", "--config", str(cfg), "--output-dir", str(tmp_path)], capsys)
         assert code == 1
         assert err.startswith("error: unknown generator kind") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_lorenz_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"kind": "lorenz", "steps": 10, "initial": [1e200] * 3}))
+        code, out, err = run(
+            ["gen", "--config", str(cfg), "--output-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "numerical failure: integration diverged at step 0\n"
 
     def test_lorenz_reads_noise_std(self, tmp_path, capsys):
         written = {}
@@ -678,6 +690,26 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     code, _, err = run(["fit", str(path), "--output-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_a_run_without_a_fit_loads_neither_the_optimizer_nor_a_process_pool():
+    out = fresh_interpreter(
+        """
+        import sys
+        import gasnorm.cli
+        from gasnorm import ArSpec, ExperimentSpec, MlpSpec, SplitSpec, run_experiment
+
+        spec = ExperimentSpec(
+            dataset=ArSpec(length=120, seed=0),
+            normalizers=("global_norm", "local_norm", "mean_scaling"),
+            forecaster=MlpSpec((4,), epochs=1),
+            split=SplitSpec(0.6, 0.2, context_length=10, horizon=2),
+        )
+        run_experiment(spec)
+        print(sorted({"scipy.optimize", "concurrent.futures.process"} & set(sys.modules)))
+        """
+    )
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import add_quadratic_trend, affine_map, inject_outlier
-from _oracles import rk4_lorenz_step
+from _oracles import ar_values, lorenz_states, rk4_lorenz_step
 from gasnorm import ArSpec, LorenzSpec, SeriesFrame, gen_ar, gen_lorenz
 from gasnorm.datagen import ar_is_stable, rk4_step, write_spec_sidecar
-from gasnorm.errors import ValidationError
+from gasnorm.errors import NumericalError, ValidationError
 
 
 class TestGenAr:
@@ -42,6 +42,17 @@ class TestGenAr:
         spec = ArSpec(length=100, seed=9)
         np.testing.assert_array_equal(gen_ar(spec).values, gen_ar(spec).values)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ArSpec(length=900, ar_coeffs=(0.7,), trend_slope=0.05),
+            ArSpec(length=500, ar_coeffs=(0.5, -0.2, 0.1), season_amplitude=1.5, seed=3),
+            ArSpec(length=50, ar_coeffs=(), seed=2),
+        ],
+    )
+    def test_matches_numpy_recursion_bit_for_bit(self, spec):
+        assert gen_ar(spec).values.tobytes() == ar_values(spec).tobytes()
+
 
 class TestGenLorenz:
     def test_z_axis_invariant_manifold(self):
@@ -60,14 +71,15 @@ class TestGenLorenz:
 
     def test_local_truncation_order(self):
         # one dt step vs two dt/2 steps from the same state: ratio ~ 2^5
-        state = np.array([1.0, 1.0, 1.0])
+        def step(state, dt):
+            return rk4_step(*state, dt, 10.0, 28.0, 8.0 / 3.0)
+
+        state = (1.0, 1.0, 1.0)
         errs = []
         for dt in (0.02, 0.01):
-            full = rk4_step(state, dt, 10.0, 28.0, 8.0 / 3.0)
-            half = rk4_step(
-                rk4_step(state, dt / 2, 10.0, 28.0, 8.0 / 3.0), dt / 2, 10.0, 28.0, 8.0 / 3.0
-            )
-            errs.append(np.linalg.norm(full - half))
+            full = step(state, dt)
+            half = step(step(state, dt / 2), dt / 2)
+            errs.append(np.linalg.norm(np.subtract(full, half)))
         ratio = errs[0] / errs[1]
         assert 20.0 < ratio < 45.0
 
@@ -81,6 +93,23 @@ class TestGenLorenz:
     def test_bad_dt_rejected(self):
         with pytest.raises(ValidationError):
             LorenzSpec(dt=0.1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LorenzSpec(steps=1500),
+            LorenzSpec(steps=1500, noise_std=0.0),
+            LorenzSpec(steps=1500, dt=0.05, noise_std=0.3, seed=4),
+            LorenzSpec(steps=1500, sigma=12.5, rho=31.0, beta=2.5, initial=(3, -2, 7), seed=2),
+        ],
+    )
+    def test_trajectory_matches_numpy_integrator_bit_for_bit(self, spec):
+        assert gen_lorenz(spec).values.tobytes() == lorenz_states(spec).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="integration diverged at step 0"):
+            gen_lorenz(LorenzSpec(steps=10, initial=(1e200,) * 3))
 
 
 class TestAffineMap:

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import stats
 
 import gasnorm.fitting as fitting_mod
+from _helpers import fresh_interpreter
 
 from gasnorm import (
     ArSpec,
@@ -167,6 +169,38 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(np.ones(5), FitConfig())
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variance_is_invalid_input(self):
+        ys = iid_normal(50)
+        ys[20] = 1e200
+        with pytest.raises(ValidationError, match="training variance must be finite, got inf"):
+            fit(ys, FitConfig(family=Family.GAUSSIAN))
+
+    def test_the_optimizer_is_loaded_before_the_restarts_fork(self):
+        # a fresh interpreter: this one loaded scipy.optimize with scipy.stats
+        out = fresh_interpreter(
+            """
+            import sys
+            import numpy as np
+            import gasnorm.fitting as fitting
+            from gasnorm import Family, FitConfig
+
+            run_restarts = fitting._run_restarts
+            loaded = []
+
+            def wrapper(tasks):
+                loaded.append("scipy.optimize" in sys.modules)
+                return run_restarts(tasks)
+
+            fitting._run_restarts = wrapper
+            before = "scipy.optimize" in sys.modules
+            ys = np.random.default_rng(0).normal(size=60)
+            fitting.fit(ys, FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=1, max_iters=20))
+            print(before, loaded)
+            """
+        )
+        assert out.split() == ["False", "[True]"]
+
 
 class TestFitFrame:
     def test_two_features_keyed_by_name(self):
@@ -203,6 +237,20 @@ class TestFitFrame:
         with pytest.raises(ValidationError, match="at least 10 observations") as info:
             fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1, max_iters=10))
         assert "a: " in str(info.value) and "b: " in str(info.value)
+
+    def test_a_failed_feature_is_warned_about_and_the_rest_fit(self):
+        values = np.random.default_rng(5).normal(size=(60, 2))
+        values[30, 1] = 1e200
+        frame = SeriesFrame(values, ["a", "b"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1,
+                                                 max_iters=20))
+        assert list(results) == ["a"]
+        assert [str(w.message) for w in caught] == [
+            "feature 'b' failed to fit: training variance must be finite, got inf"
+        ]
+        assert caught[0].category is UserWarning
 
     def test_a_numerical_failure_makes_it_a_fit_error(self, monkeypatch):
         def fail(ys, config):
