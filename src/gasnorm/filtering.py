@@ -9,31 +9,32 @@ step pulls it toward its unconditional level:
     theta_{t+1|t} = omega + beta * theta_{t|t}
 
 with s_t the inverse-Fisher-scaled score and g in [0, 1). The step is
-written once, in ``_recursions.filter_recursion``. g = 0 freezes the
-score term entirely, which reduces the filter to a deterministic affine
-recursion (static normalization).
+written once, in ``filter_series``. g = 0 freezes the score term
+entirely, which reduces the filter to a deterministic affine recursion
+(static normalization).
+
+The loop runs on Python floats (``ys.tolist()``, ``GasParams`` fields)
+and fills lists that become arrays once at the end: numpy-scalar
+arithmetic gives the same IEEE-754 results at about twice the cost per step.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._recursions import GAUSSIAN, STUDENT_T, filter_recursion
 from .errors import NumericalError, ValidationError, check_fields
 
 VARIANCE_FLOOR = 1e-8
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Family(enum.Enum):
     GAUSSIAN = "gaussian"
     STUDENT_T = "student_t"
-
-    @property
-    def code(self) -> int:
-        return GAUSSIAN if self is Family.GAUSSIAN else STUDENT_T
 
 
 @dataclass(frozen=True)
@@ -94,30 +95,79 @@ class FilterTrace:
 
 
 def filter_series(params: GasParams, ys) -> FilterTrace:
-    """Run the filter over a full series, accumulating the log-likelihood."""
+    """Run the filter over a full series, accumulating the log-likelihood.
+
+    Raises NumericalError naming the first timestep whose state is non-finite.
+    """
     ys = np.ascontiguousarray(ys, dtype=np.float64).ravel()
     if ys.size == 0:
         raise ValidationError("cannot filter an empty series")
     if not np.all(np.isfinite(ys)):
         raise ValidationError("series contains non-finite values")
-    mu_p, s2_p, mu_f, s2_f, loglik, penalty, status = filter_recursion(
-        ys,
-        params.family.code,
-        params.alpha_mu,
-        params.alpha_sigma,
-        params.beta_mu,
-        params.beta_sigma,
-        params.omega_mu,
-        params.omega_sigma,
-        params.nu,
-        params.gamma_ratio,
-        params.mu0,
-        max(params.sigma2_0, VARIANCE_FLOOR),
-        VARIANCE_FLOOR,
-    )
-    if status >= 0:
-        raise NumericalError(f"filter state became non-finite at timestep {status}")
-    return FilterTrace(mu_p, s2_p, mu_f, s2_f, float(loglik), float(penalty))
+    nu, omega_mu, beta_mu = params.nu, params.omega_mu, params.beta_mu
+    omega_sigma, beta_sigma = params.omega_sigma, params.beta_sigma
+    floor = VARIANCE_FLOOR
+    mu_prior, s2_prior, mu_filt, s2_filt = [], [], [], []
+    # loop invariants, each grouped as in the step's formulas, so hoisting them changes no bit
+    push_mu_prior, push_s2_prior = mu_prior.append, s2_prior.append
+    push_mu_filt, push_s2_filt = mu_filt.append, s2_filt.append
+    log, log1p, isfinite = math.log, math.log1p, math.isfinite
+    gaussian = params.family is Family.GAUSSIAN
+    step_mu = params.gamma_ratio * params.alpha_mu
+    step_s2 = params.gamma_ratio * params.alpha_sigma
+    neg_half_log_2pi = -0.5 * _LOG_2PI
+    nu1 = nu + 1.0
+    half_nu1 = 0.5 * nu1
+    nu3 = nu + 3.0
+    two_nu3 = 2.0 * nu3
+    loglik = 0.0
+    penalty = 0.0
+    mu = params.mu0
+    s2 = max(params.sigma2_0, floor)
+    lgam = 0.0
+    if not gaussian:
+        # constant part of the Student's t log-density
+        lgam = (
+            math.lgamma(0.5 * nu1)
+            - math.lgamma(0.5 * nu)
+            - 0.5 * math.log(math.pi * nu)
+        )
+    for t, y in enumerate(ys.tolist()):
+        r = y - mu
+        if gaussian:
+            loglik += neg_half_log_2pi - 0.5 * log(s2) - 0.5 * r * r / s2
+            # inverse-FIM-scaled (natural gradient) scores
+            scaled_mu = r
+            scaled_s2 = r * r - s2
+            fim_mu = 1.0 / s2
+            fim_s2 = 0.5 / (s2 * s2)
+        else:
+            z2 = r * r / (nu * s2)
+            loglik += lgam - 0.5 * log(s2) - half_nu1 * log1p(z2)
+            # scalings nu*s2/(nu+1) and 2*s2^2: proportional to the inverse FIM
+            scaled_mu = r / (1.0 + z2)
+            scaled_s2 = nu1 * r * r / (nu + r * r / s2) - s2
+            fim_mu = nu1 / (nu3 * s2)
+            fim_s2 = nu / (two_nu3 * s2 * s2)
+        m_f = mu + step_mu * scaled_mu
+        v_f = s2 + step_s2 * scaled_s2
+        if v_f < floor:
+            v_f = floor
+        d_mu = m_f - mu
+        d_s2 = v_f - s2
+        penalty += fim_mu * d_mu * d_mu + fim_s2 * d_s2 * d_s2
+        push_mu_prior(mu)
+        push_s2_prior(s2)
+        push_mu_filt(m_f)
+        push_s2_filt(v_f)
+        mu = omega_mu + beta_mu * m_f
+        s2 = omega_sigma + beta_sigma * v_f
+        if s2 < floor:
+            s2 = floor
+        if not (isfinite(mu) and isfinite(s2) and isfinite(loglik)):
+            raise NumericalError(f"filter state became non-finite at timestep {t}")
+    arrays = [np.array(v) for v in (mu_prior, s2_prior, mu_filt, s2_filt)]
+    return FilterTrace(*arrays, loglik, penalty)
 
 
 def forecast_statistics(

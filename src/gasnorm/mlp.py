@@ -147,31 +147,33 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
 
     losses = []
     n = X.shape[0]
-    for epoch in range(spec.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            acts, pre = _forward(weights, biases, spec.activation, X[idx])
-            grads_w, grads_b = _backward(weights, spec.activation, acts, pre, Y[idx])
-            for i in range(len(weights)):
-                weights[i] -= spec.learning_rate * grads_w[i]
-                biases[i] -= spec.learning_rate * grads_b[i]
-        acts, _ = _forward(weights, biases, spec.activation, X)
-        loss = float(np.mean((acts[-1] - Y) ** 2))
-        if not np.isfinite(loss):
-            raise NumericalError(f"training loss became non-finite at epoch {epoch}")
-        losses.append(loss)
-        if Xv is not None:
-            acts_v, _ = _forward(weights, biases, spec.activation, Xv)
-            val_loss = float(np.mean((acts_v[-1] - Yv) ** 2))
-            if val_loss < best_val:
-                best_val = val_loss
-                best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
-                stall = 0
-            else:
-                stall += 1
-                if stall >= PATIENCE:
-                    break
+    # a diverging run overflows before its loss turns non-finite; that check raises instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(spec.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, spec.batch_size):
+                idx = order[start : start + spec.batch_size]
+                acts, pre = _forward(weights, biases, spec.activation, X[idx])
+                grads_w, grads_b = _backward(weights, spec.activation, acts, pre, Y[idx])
+                for i in range(len(weights)):
+                    weights[i] -= spec.learning_rate * grads_w[i]
+                    biases[i] -= spec.learning_rate * grads_b[i]
+            acts, _ = _forward(weights, biases, spec.activation, X)
+            loss = float(np.mean((acts[-1] - Y) ** 2))
+            if not np.isfinite(loss):
+                raise NumericalError(f"training loss became non-finite at epoch {epoch}")
+            losses.append(loss)
+            if Xv is not None:
+                acts_v, _ = _forward(weights, biases, spec.activation, Xv)
+                val_loss = float(np.mean((acts_v[-1] - Yv) ** 2))
+                if val_loss < best_val:
+                    best_val = val_loss
+                    best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+                    stall = 0
+                else:
+                    stall += 1
+                    if stall >= PATIENCE:
+                        break
     if best_snapshot is not None:
         weights, biases = best_snapshot
     return TrainedModel(

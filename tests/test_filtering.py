@@ -14,7 +14,6 @@ from gasnorm import (
     filter_series,
     forecast_statistics,
 )
-from gasnorm._recursions import filter_recursion
 from gasnorm.errors import NumericalError, ValidationError, from_keys, to_json
 
 
@@ -177,22 +176,12 @@ class TestFilterSeries:
         plain = filter_series(GasParams(family=family, **kw), ys)
         as_numpy = {k: np.float64(v) for k, v in kw.items()}
         from_numpy = filter_series(GasParams(family=family, **as_numpy), np.array(ys))
-        # the kernel itself, fed numpy scalars the way an optimizer's array would
-        raw = filter_recursion(
-            np.array(ys), family.code,
-            *(as_numpy[k] for k in ("alpha_mu", "alpha_sigma", "beta_mu", "beta_sigma",
-                                    "omega_mu", "omega_sigma", "nu")),
-            np.float64(gamma) / (1.0 - np.float64(gamma)), as_numpy["mu0"],
-            max(as_numpy["sigma2_0"], np.float64(VARIANCE_FLOOR)), VARIANCE_FLOOR,
-        )
-
         def bits(trace):
             values = (trace.mu_prior, trace.sigma2_prior, trace.mu_filt, trace.sigma2_filt,
                       trace.loglik, trace.penalty)
             return [np.asarray(v).tobytes() for v in values]
 
         assert bits(from_numpy) == bits(plain)
-        assert [np.asarray(v).tobytes() for v in raw[:6]] == bits(plain)
         prior, filt, loglik, penalty = naive_filter(
             ys, "gaussian" if family is Family.GAUSSIAN else "t", **kw
         )
@@ -227,10 +216,34 @@ class TestFilterSeries:
             mu = p.omega_mu + p.beta_mu * mu
 
     def test_variance_floor_everywhere(self):
-        p = gaussian_params(alpha_sigma=1.9, omega_sigma=0.0, beta_sigma=0.0)
-        trace = filter_series(p, np.zeros(200))
-        assert np.all(trace.sigma2_filt >= VARIANCE_FLOOR)
-        assert np.all(trace.sigma2_prior >= VARIANCE_FLOOR)
+        for sigma2_0 in (1.0, 1e-12):
+            p = gaussian_params(alpha_sigma=1.9, omega_sigma=0.0, beta_sigma=0.0,
+                                sigma2_0=sigma2_0)
+            trace = filter_series(p, np.zeros(200))
+            assert np.all(trace.sigma2_filt >= VARIANCE_FLOOR)
+            assert np.all(trace.sigma2_prior >= VARIANCE_FLOOR)
+        # an initial variance below the floor starts the filter at the floor
+        assert trace.sigma2_prior[0] == VARIANCE_FLOOR
+
+    # float.hex of loglik, penalty, and the last mu_filt and sigma2_filt: any change
+    # to the step's arithmetic, or to how its expressions are grouped, shows here
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            (Family.GAUSSIAN, ("-0x1.6afac31aab123p+8", "0x1.a333260a89245p+5",
+                               "-0x1.68d49db6592d0p+2", "0x1.28189c6cb9ebep-2")),
+            (Family.STUDENT_T, ("-0x1.9efa52b973065p+8", "0x1.0634f0480ddcbp+5",
+                                "-0x1.68cce9b051c44p+2", "0x1.31c790a4a9168p-2")),
+        ],
+    )
+    def test_pinned_bits(self, family, expected):
+        ys = np.cumsum(np.random.default_rng(16).normal(size=500)) * 0.3
+        p = GasParams(family=family, alpha_mu=0.2, alpha_sigma=0.1, beta_mu=0.97,
+                      beta_sigma=0.9, omega_mu=0.02, omega_sigma=0.1, nu=6.0, gamma=0.7,
+                      mu0=0.5, sigma2_0=2.0)
+        trace = filter_series(p, ys)
+        got = (trace.loglik, trace.penalty, trace.mu_filt[-1], trace.sigma2_filt[-1])
+        assert tuple(float(v).hex() for v in got) == expected
 
     def test_empty_series_errors(self):
         with pytest.raises(ValidationError):

@@ -23,7 +23,7 @@ from gasnorm import (
     penalized_objective,
 )
 from gasnorm.errors import FitError, NumericalError, ValidationError, from_keys, to_json
-from gasnorm.fitting import FitResult, _default_bounds, _initial_params
+from gasnorm.fitting import _PARAM_ORDER, FitResult, _default_bounds, _initial_params, _negative
 
 
 def iid_normal(n=200, seed=0):
@@ -175,6 +175,25 @@ class TestFit:
         ys[20] = 1e200
         with pytest.raises(ValidationError, match="training variance must be finite, got inf"):
             fit(ys, FitConfig(family=Family.GAUSSIAN))
+
+    def test_an_objective_that_raises_reads_as_infinitely_bad(self):
+        ys = iid_normal(50)
+        template = _initial_params(FitConfig(family=Family.GAUSSIAN), 0.0, 1.0)
+        x = np.array([getattr(template, n) for n in _PARAM_ORDER])
+        # GasParams rejects beta_mu = 1
+        outside = x.copy()
+        outside[_PARAM_ORDER.index("beta_mu")] = 1.0
+        assert _negative(outside, template, False, ys) == np.inf
+        # a 1e200 spike overflows the filter state
+        spiked = ys.copy()
+        spiked[20] = 1e200
+        assert _negative(x, template, False, spiked) == np.inf
+
+    def test_a_start_whose_filter_blows_up_is_a_fit_error(self):
+        # at gamma = 0.99 the start moves the mean by 4.95 residuals a step: the state overflows
+        config = FitConfig(gamma=0.99, family=Family.GAUSSIAN, restarts=1)
+        with pytest.raises(FitError, match="^objective is non-finite at the initialization point$"):
+            fit(iid_normal(300), config)
 
     def test_the_optimizer_is_loaded_before_the_restarts_fork(self):
         # a fresh interpreter: this one loaded scipy.optimize with scipy.stats

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from _helpers import collapse_linear, gradient_check
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
-from gasnorm.errors import ValidationError, from_keys, to_json
+from gasnorm.errors import NumericalError, ValidationError, from_keys, to_json
 from gasnorm.mlp import PATIENCE, init_layers
 
 
@@ -64,6 +65,15 @@ class TestTrain:
     def test_empty_pairs_error(self):
         with pytest.raises(ValidationError):
             train(MlpSpec(), np.empty((0, 4, 2)), np.empty((0, 2, 2)))
+
+    def test_divergence_is_a_numerical_error_without_warnings(self):
+        pairs = linear_pairs(n=40, seed=6)
+        spec = MlpSpec((8,), Activation.RELU, learning_rate=1e6, epochs=50, seed=0)
+        with warnings.catch_warnings():
+            # a numpy RuntimeWarning raised as an error would replace the NumericalError
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="training loss became non-finite at epoch"):
+                train(spec, *pairs, val=linear_pairs(n=10, seed=7))
 
 
 class TestPredict:
