@@ -18,7 +18,7 @@ import numpy as np
 from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz, write_spec_sidecar
 from .errors import NumericalError, ValidationError, check_keys, from_keys, to_json
 from .evaluation import ExperimentSpec, emit_report, mase, run_experiment
-from .filtering import GasParams
+from .filtering import Family, GasParams
 from .fitting import FitConfig, FitResult, fit_frame
 from .mlp import TrainedModel, predict
 from .normalization import (
@@ -211,15 +211,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="lorenz only")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("fit", help="fit filter parameters per feature")
-    p.add_argument("--seed", type=int, default=0)
+    # a flag left out is absent from args, so FitConfig's default applies
+    p = sub.add_parser("fit", help="fit filter parameters per feature",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int)
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--dist", dest="family", choices=["gaussian", "student_t"], default="student_t")
-    p.add_argument("--nu", type=float, default=100.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--dist", dest="family", choices=[f.value for f in Family])
+    p.add_argument("--nu", type=float)
+    p.add_argument("--gamma", type=float)
     p.add_argument("data", help="training CSV")
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--fit-nu", action="store_true")
     p.set_defaults(func=_cmd_fit)
 

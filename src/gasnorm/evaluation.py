@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -14,7 +15,7 @@ from .filtering import Family
 from .fitting import FitConfig, fit_frame
 from .mlp import MlpSpec, predict, train
 from .normalization import NormalizerKind, NormalizerSpec, denormalize, feature_moments, normalize
-from .series import SeriesFrame, SplitSpec, load_csv, split, windows
+from .series import SeriesFrame, SplitSpec, csv_line, load_csv, split, windows
 
 
 def mase(actual, forecast, train, m: int = 1) -> np.ndarray:
@@ -81,14 +82,6 @@ class ExperimentSpec:
         if any(not 0.0 <= g < 1.0 for g in self.gammas):
             raise ValidationError("gammas must lie in [0, 1)")
 
-    @property
-    def dataset_id(self) -> str:
-        if isinstance(self.dataset, ArSpec):
-            return "ar"
-        if isinstance(self.dataset, LorenzSpec):
-            return "lorenz"
-        return os.path.splitext(os.path.basename(str(self.dataset)))[0]
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -113,12 +106,13 @@ class EvalReport:
         raise ValidationError(f"no row for normalizer {normalizer!r}, gamma {gamma}")
 
 
-def load_dataset(dataset) -> SeriesFrame:
+def load_dataset(dataset) -> tuple[SeriesFrame, str]:
+    """The dataset's frame and the id its report rows carry."""
     if isinstance(dataset, ArSpec):
-        return gen_ar(dataset)
+        return gen_ar(dataset), "ar"
     if isinstance(dataset, LorenzSpec):
-        return gen_lorenz(dataset)
-    return load_csv(dataset)
+        return gen_lorenz(dataset), "lorenz"
+    return load_csv(dataset), os.path.splitext(os.path.basename(str(dataset)))[0]
 
 
 def _normalized_segment(nspec: NormalizerSpec, win: np.ndarray, l: int, h: int, names):
@@ -178,60 +172,44 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     stack and trains one forecaster per seed on them. For the adaptive
     normalizer, gamma is selected per seed on validation MASE and an extra
     ``gas_norm_selected`` row reports the test MASE at each seed's
-    selection. Failures, a failed gas_norm fit included, are recorded
-    per cell; completed cells still make it into the report.
+    selection. A failed fit, normalization or training is its cell's
+    ``error``; the other cells still report. Rows come in config order,
+    cells with scores first, then ``gas_norm_selected``.
     """
-    data = load_dataset(spec.dataset)
+    data, dataset_id = load_dataset(spec.dataset)
     train_f, val_f, test_f = split(data, spec.split)
     l, h = spec.split.context_length, spec.split.horizon
-    names = data.feature_names
-
     segments = (
         windows(train_f, l, h, spec.stride),
         windows(val_f, l, h, spec.stride) if len(val_f) >= l + h else None,
         windows(test_f, l, h, spec.stride),
     )
 
-    nspecs: dict[tuple[str, float | None], NormalizerSpec] = {}
-    cell_errors: dict[tuple[str, float | None], str] = {}
-    for kind in spec.normalizers:
-        if kind is NormalizerKind.GAS_NORM:
-            for gamma in spec.gammas:
-                config = FitConfig(
-                    gamma=gamma,
-                    family=spec.family,
-                    nu=spec.nu,
-                    seed=spec.fit_seed,
-                    restarts=spec.fit_restarts,
-                    max_iters=spec.fit_max_iters,
-                )
-                try:
-                    results = fit_frame(train_f, config)
-                except (ValidationError, ArithmeticError) as exc:
-                    cell_errors[kind.value, gamma] = str(exc)
-                    continue
-                nspecs[kind.value, gamma] = NormalizerSpec(
-                    kind, gas_params={n: r.params for n, r in results.items()}
-                )
-        elif kind is NormalizerKind.GLOBAL_NORM:
-            nspecs[kind.value, None] = NormalizerSpec(kind, global_stats=feature_moments(train_f))
-        else:
-            nspecs[kind.value, None] = NormalizerSpec(kind)
-
-    cells: dict[tuple[str, float | None], list[float]] = {}
+    rows: list[ReportRow] = []
     gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}
-    for key, nspec in nspecs.items():
-        try:
-            scores, error = _evaluate_normalizer(spec, nspec, segments, names, train_f.values)
-        except (ValidationError, ArithmeticError) as exc:
-            cell_errors[key] = str(exc)
-            continue
-        if error is not None:
-            cell_errors[key] = error
-        if scores:
-            cells[key] = [test for _, test in scores.values()]
-        if nspec.kind is NormalizerKind.GAS_NORM:
-            gas_scores[key[1]] = scores
+    for kind in spec.normalizers:
+        for gamma in spec.gammas if kind is NormalizerKind.GAS_NORM else (None,):
+            try:
+                if kind is NormalizerKind.GAS_NORM:
+                    config = FitConfig(gamma=gamma, family=spec.family, nu=spec.nu,
+                                       seed=spec.fit_seed, restarts=spec.fit_restarts,
+                                       max_iters=spec.fit_max_iters)
+                    params = {n: r.params for n, r in fit_frame(train_f, config).items()}
+                    nspec = NormalizerSpec(kind, gas_params=params)
+                elif kind is NormalizerKind.GLOBAL_NORM:
+                    nspec = NormalizerSpec(kind, global_stats=feature_moments(train_f))
+                else:
+                    nspec = NormalizerSpec(kind)
+                scores, error = _evaluate_normalizer(
+                    spec, nspec, segments, data.feature_names, train_f.values
+                )
+            except (ValidationError, ArithmeticError) as exc:
+                scores, error = {}, str(exc)
+            if gamma is not None:
+                gas_scores[gamma] = scores
+            tests = [test for _, test in scores.values()]
+            rows.append(_aggregate(dataset_id, kind.value, gamma, tests, error))
+    rows.sort(key=lambda r: r.n_seeds == 0)
 
     selected_tests: list[float] = []
     selected_gammas: list[float] = []
@@ -242,21 +220,15 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             chosen = select_gamma(val_by_gamma) if val_by_gamma else min(by_gamma)
             selected_gammas.append(chosen)
             selected_tests.append(by_gamma[chosen][1])
-
-    rows = [_aggregate(spec.dataset_id, *key, values, cell_errors.get(key))
-            for key, values in cells.items()]
-    nan = float("nan")
-    rows += [ReportRow(spec.dataset_id, *key, nan, nan, 0, (), message)
-             for key, message in cell_errors.items() if key not in cells]
     if selected_tests:
         modal = max(set(selected_gammas), key=lambda g: (selected_gammas.count(g), -g))
-        rows.append(
-            _aggregate(spec.dataset_id, "gas_norm_selected", modal, selected_tests)
-        )
+        rows.append(_aggregate(dataset_id, "gas_norm_selected", modal, selected_tests))
     return EvalReport(tuple(rows))
 
 
 def _aggregate(dataset: str, normalizer: str, gamma, values: list[float], error=None) -> ReportRow:
+    if not values:
+        return ReportRow(dataset, normalizer, gamma, math.nan, math.nan, 0, (), error)
     arr = np.asarray(values, dtype=np.float64)
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return ReportRow(
@@ -274,10 +246,8 @@ def emit_report(report: EvalReport, path) -> tuple[str, str]:
         fh.write("dataset,normalizer,gamma,mase_mean,mase_stderr,n_seeds\n")
         for r in report.rows:
             gamma = "" if r.gamma is None else format(r.gamma, "g")
-            fh.write(
-                f"{r.dataset},{r.normalizer},{gamma},"
-                f"{r.mase_mean:.17g},{r.mase_stderr:.17g},{r.n_seeds}\n"
-            )
+            fh.write(csv_line([r.dataset, r.normalizer, gamma, f"{r.mase_mean:.17g}",
+                               f"{r.mase_stderr:.17g}", r.n_seeds]))
     with open(json_path, "w") as fh:
         json.dump(to_json(report), fh, indent=2)
     return csv_path, json_path

@@ -22,13 +22,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import FitError, ValidationError, check_at_least, check_fields
-from .filtering import Family, GasParams, filter_series
+from .filtering import VARIANCE_FLOOR, Family, GasParams, filter_series
 from .series import SeriesFrame
 
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult
-
-_MOMENT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,11 @@ def _default_bounds(mean: float, var: float) -> dict[str, tuple[float, float]]:
 
 def _initial_params(config: FitConfig, mean: float, var: float) -> GasParams:
     beta = 0.95
+    # the filter steps by gamma/(1-gamma) * alpha: the cap keeps a start step within one score
+    alpha = min(0.05, (1.0 - config.gamma) / config.gamma) if config.gamma > 0 else 0.05
     return GasParams(
-        alpha_mu=0.05,
-        alpha_sigma=0.05,
+        alpha_mu=alpha,
+        alpha_sigma=alpha,
         beta_mu=beta,
         beta_sigma=beta,
         omega_mu=(1.0 - beta) * mean,
@@ -166,7 +166,7 @@ def fit(ys, config: FitConfig) -> FitResult:
         var = float(np.var(ys))
     if not np.isfinite(var):
         raise ValidationError(f"training variance must be finite, got {var}")
-    var = max(var, _MOMENT_FLOOR)
+    var = max(var, VARIANCE_FLOOR)
 
     fit_nu = config.fit_nu and config.family is Family.STUDENT_T
     names = _PARAM_ORDER + ("nu",) if fit_nu else _PARAM_ORDER

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from gasnorm import (
     ExperimentSpec,
+    FitConfig,
     FitResult,
     GasParams,
     MlpSpec,
     SeriesFrame,
     SplitSpec,
     TrainedModel,
+    fit_frame,
     load_csv,
     predict,
     to_json,
@@ -195,6 +197,12 @@ class TestFitNormalizeForecast:
         fc = load_csv(out.strip())
         assert fc.values.shape == (4, 1)
         assert np.all(np.isfinite(fc.values))
+
+    def test_fit_without_flags_writes_the_fit_config_defaults(self, tmp_path, small_csv, capsys):
+        code, out, _ = run(["fit", small_csv, "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        expected = to_json(fit_frame(load_csv(small_csv), FitConfig()))
+        assert open(out.strip()).read() == json.dumps(expected, indent=2)
 
     def test_forecast_with_a_model(self, tmp_path, small_csv, capsys):
         model_path = write_model(tmp_path, small_csv, horizon=4)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from gasnorm import (
     write_csv,
 )
 import gasnorm.evaluation as evaluation_mod
-from gasnorm.errors import NumericalError, ValidationError
+from gasnorm.errors import FitError, NumericalError, ValidationError
 from gasnorm.evaluation import ReportRow, load_dataset
 from gasnorm.series import split, windows
 
@@ -173,7 +174,7 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluation_mod, "train", recorded_train)
         spec = tiny_spec(normalizers=("global_norm", "local_norm"), seeds=(0, 1))
         run_experiment(spec)
-        _, _, test_f = split(load_dataset(spec.dataset), spec.split)
+        _, _, test_f = split(load_dataset(spec.dataset)[0], spec.split)
         test_windows = windows(test_f, spec.split.context_length, spec.split.horizon,
                                spec.stride)
         # one predict per (normalizer, seed), over every test window at once;
@@ -246,6 +247,52 @@ class TestRunExperiment:
         assert row.n_seeds == 0
         assert row.error == "local normalization needs a context of length >= 2"
 
+    def test_rows_with_scores_come_first_then_scoreless_then_selected(self, monkeypatch):
+        # mean_scaling fails in train, local_norm in normalize, gas_norm's fit at gamma 0.5
+        real_fit, real_normalize, real_train = (
+            evaluation_mod.fit_frame, evaluation_mod.normalize, evaluation_mod.train
+        )
+        normalizing = []
+
+        def fit_fails_at_half(frame, config):
+            if config.gamma == 0.5:
+                raise FitError("objective is non-finite at the initialization point")
+            return real_fit(frame, config)
+
+        def normalize_fails_local(nspec, *args):
+            if nspec.kind.value == "local_norm":
+                raise ValidationError("local normalization failed")
+            normalizing.append(nspec.kind.value)
+            return real_normalize(nspec, *args)
+
+        def train_fails_mean_scaling(*args):
+            if normalizing[-1] == "mean_scaling":
+                raise NumericalError("training loss became non-finite at epoch 0")
+            return real_train(*args)
+
+        monkeypatch.setattr(evaluation_mod, "fit_frame", fit_fails_at_half)
+        monkeypatch.setattr(evaluation_mod, "normalize", normalize_fails_local)
+        monkeypatch.setattr(evaluation_mod, "train", train_fails_mean_scaling)
+        spec = tiny_spec(
+            normalizers=("mean_scaling", "local_norm", "global_norm", "gas_norm"),
+            gammas=(0.5, 0.0),
+            seeds=(0, 1),
+        )
+        rows = run_experiment(spec).rows
+        assert [(r.normalizer, r.gamma, r.n_seeds) for r in rows] == [
+            ("global_norm", None, 2),
+            ("gas_norm", 0.0, 2),
+            ("mean_scaling", None, 0),
+            ("local_norm", None, 0),
+            ("gas_norm", 0.5, 0),
+            ("gas_norm_selected", 0.0, 2),
+        ]
+        assert [r.error for r in rows[2:5]] == [
+            "training loss became non-finite at epoch 0",
+            "local normalization failed",
+            "objective is non-finite at the initialization point",
+        ]
+
     def test_stderr_over_seeds(self):
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))
         row = run_experiment(spec).row("local_norm")
@@ -279,6 +326,17 @@ class TestReportIo:
         csv_path, _ = emit_report(EvalReport(()), tmp_path / "report")
         lines = open(csv_path).read().strip().splitlines()
         assert len(lines) == 1
+
+    def test_a_dataset_name_holding_a_comma_is_quoted(self, tmp_path):
+        path = tmp_path / "a,b.csv"
+        write_csv(gen_ar(tiny_spec().dataset), path)
+        report = run_experiment(tiny_spec(dataset=str(path), normalizers=("local_norm",)))
+        csv_path, _ = emit_report(report, tmp_path / "report")
+        with open(csv_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 6 and rows
+        for row in rows:
+            assert len(row) == 6 and row[0] == "a,b"
 
     def test_dir_target(self, tmp_path):
         csv_path, json_path = emit_report(self.make_report(), tmp_path)

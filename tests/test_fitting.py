@@ -190,10 +190,22 @@ class TestFit:
         assert _negative(x, template, False, spiked) == np.inf
 
     def test_a_start_whose_filter_blows_up_is_a_fit_error(self):
-        # at gamma = 0.99 the start moves the mean by 4.95 residuals a step: the state overflows
-        config = FitConfig(gamma=0.99, family=Family.GAUSSIAN, restarts=1)
+        # the training variance is finite, but the variance score at the spike overflows,
+        # even with the start's alpha capped for this gamma
+        ys = np.zeros(300)
+        ys[150] = 1e154
+        config = FitConfig(gamma=0.99, family=Family.STUDENT_T, restarts=1)
         with pytest.raises(FitError, match="^objective is non-finite at the initialization point$"):
-            fit(iid_normal(300), config)
+            fit(ys, config)
+
+    @pytest.mark.parametrize("gamma", [0.99, 0.995])
+    def test_a_gamma_near_one_starts_within_one_score_step(self, gamma):
+        # an uncapped alpha = 0.05 would move the mean by 0.05 * gamma/(1-gamma) >= 4.95 a step
+        ys = gen_ar(ArSpec(length=300, seed=0)).values[:, 0]
+        start = _initial_params(FitConfig(gamma=gamma), float(np.mean(ys)), float(np.var(ys)))
+        assert start.gamma_ratio * start.alpha_mu == pytest.approx(1.0)
+        result = fit(ys, FitConfig(gamma=gamma, restarts=1, max_iters=50))
+        assert np.isfinite(result.objective)
 
     def test_the_optimizer_is_loaded_before_the_restarts_fork(self):
         # a fresh interpreter: this one loaded scipy.optimize with scipy.stats
