@@ -15,20 +15,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from .datagen import ArSpec, LorenzSpec, gen_ar, gen_lorenz, write_spec_sidecar
+from .datagen import DATASET_KINDS, gen_ar, gen_lorenz, write_spec_sidecar
 from .errors import NumericalError, ValidationError, check_keys, from_keys, to_json
 from .evaluation import ExperimentSpec, emit_report, mase, run_experiment
 from .filtering import Family, GasParams
 from .fitting import FitConfig, FitResult, fit_frame
 from .mlp import TrainedModel, predict
-from .normalization import (
-    NormalizerKind,
-    NormalizerSpec,
-    denormalize,
-    feature_moments,
-    normalize,
-    save_batch,
-)
+from .normalization import NormalizerKind, NormalizerSpec, denormalize, normalize, save_batch
 from .series import SeriesFrame, SplitSpec, csv_line, load_csv, write_csv
 
 
@@ -57,22 +50,19 @@ def _out(args, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
-_GENERATORS = {"ar": ArSpec, "lorenz": LorenzSpec}
-
-
 def _fields(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-_GEN_FIELDS = _fields(ArSpec) | _fields(LorenzSpec)
+_GEN_FIELDS = set().union(*map(_fields, DATASET_KINDS.values()))
 
 
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
     kind = args.kind or cfg.get("kind")
-    if kind not in list(_GENERATORS):  # a list, not the dict: the kind may be unhashable
+    if kind not in list(DATASET_KINDS):  # a list, not the dict: the kind may be unhashable
         raise ValidationError(f"unknown generator kind {kind!r}")
-    cls = _GENERATORS[kind]
+    cls = DATASET_KINDS[kind]
     # spec flags default to None, so the ones given are the ones that are set
     flags = {k: v for k, v in vars(args).items() if k in _GEN_FIELDS and v is not None}
     foreign = ["--" + k.replace("_", "-") for k in flags if k not in _fields(cls)]
@@ -105,21 +95,20 @@ def _load_params(path) -> dict[str, GasParams]:
     return {n: from_keys(FitResult, r, f"{path} feature {n!r}").params for n, r in doc.items()}
 
 
-def _make_normalizer(args, frame: SeriesFrame) -> NormalizerSpec:
-    kind = NormalizerKind(args.normalizer)
-    if kind is NormalizerKind.GAS_NORM:
+def _normalized(args):
+    """The ``data`` CSV and its batch under ``--normalizer``: what normalize and forecast share."""
+    frame = load_csv(args.data)
+    params = None
+    if args.normalizer == NormalizerKind.GAS_NORM.value:
         if not args.params:
             raise ValidationError("gas_norm requires --params")
-        return NormalizerSpec(kind, gas_params=_load_params(args.params))
-    if kind is NormalizerKind.GLOBAL_NORM:
-        return NormalizerSpec(kind, global_stats=feature_moments(frame))
-    return NormalizerSpec(kind)
+        params = _load_params(args.params)
+    nspec = NormalizerSpec.for_frame(args.normalizer, frame, params)
+    return frame, normalize(nspec, frame.values, args.horizon, frame.feature_names)
 
 
 def _cmd_normalize(args) -> int:
-    frame = load_csv(args.data)
-    nspec = _make_normalizer(args, frame)
-    batch = normalize(nspec, frame.values, args.horizon, frame.feature_names)
+    _, batch = _normalized(args)
     stem = _out(args, args.stem)
     save_batch(batch, stem)
     print(stem + "_normalized.csv")
@@ -127,9 +116,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    frame = load_csv(args.data)
-    nspec = _make_normalizer(args, frame)
-    batch = normalize(nspec, frame.values, args.horizon, frame.feature_names)
+    frame, batch = _normalized(args)
     if args.model:
         model = from_keys(TrainedModel, _read_json(args.model), f"model {args.model}")
         residual = predict(model, batch.normalized_context)
@@ -157,15 +144,13 @@ def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
     check_keys(doc, "experiment config", ("dataset", "split"), _fields(ExperimentSpec))
     ds = check_keys(doc["dataset"], "experiment config dataset")
     kind = ds.get("kind", "csv")
-    if kind not in ("ar", "lorenz", "csv"):
+    if kind not in [*DATASET_KINDS, "csv"]:
         raise ValidationError(f"unknown dataset kind {kind!r}: expected ar, lorenz or csv")
-    if kind != "csv":
-        values = {k: v for k, v in ds.items() if k != "kind"}
-        dataset = from_keys(_GENERATORS[kind], values, f"{kind} dataset")
-    else:
+    if kind == "csv":
         dataset = check_keys(ds, "csv dataset", ("path",), ("kind", "path"))["path"]
-        if not (isinstance(dataset, str) and dataset):
-            raise ValidationError(f"csv dataset path must be a non-empty string, got {dataset!r}")
+    else:
+        values = {k: v for k, v in ds.items() if k != "kind"}
+        dataset = from_keys(DATASET_KINDS[kind], values, f"{kind} dataset")
     split_spec = from_keys(
         SplitSpec, doc["split"], "experiment config split", ("context_length", "horizon")
     )
@@ -200,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON config file; its keys override the flags")
     p.add_argument("--output-dir", default=".")
-    p.add_argument("kind", nargs="?", choices=list(_GENERATORS))
+    p.add_argument("kind", nargs="?", choices=list(DATASET_KINDS))
     p.add_argument("--length", type=int, help="ar only")
     p.add_argument("--ar-coeffs", type=float, nargs="*", help="ar only")
     p.add_argument("--noise-std", type=float)
@@ -225,24 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-nu", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("normalize", help="normalize a context CSV")
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("data", help="context CSV")
-    p.add_argument("--normalizer", default="gas_norm",
-                   choices=[k.value for k in NormalizerKind])
-    p.add_argument("--params", help="fitted params JSON (gas_norm)")
-    p.add_argument("--horizon", type=int, default=1)
+    # the flags that normalize and forecast share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--output-dir", default=".")
+    shared.add_argument("data", help="context CSV")
+    shared.add_argument("--normalizer", default="gas_norm",
+                        choices=[k.value for k in NormalizerKind])
+    shared.add_argument("--params", help="fitted params JSON (gas_norm)")
+    shared.add_argument("--horizon", type=int, default=1)
+
+    p = sub.add_parser("normalize", help="normalize a context CSV", parents=[shared])
     p.add_argument("--stem", default="batch")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("forecast", help="denormalized forecast from a context CSV")
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("data", help="context CSV")
-    p.add_argument("--normalizer", default="gas_norm",
-                   choices=[k.value for k in NormalizerKind])
-    p.add_argument("--params", help="fitted params JSON (gas_norm)")
+    p = sub.add_parser("forecast", help="denormalized forecast from a context CSV",
+                       parents=[shared])
     p.add_argument("--model", help="trained residual model JSON")
-    p.add_argument("--horizon", type=int, default=1)
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("eval", help="MASE between forecast files")

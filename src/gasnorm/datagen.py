@@ -133,7 +133,15 @@ def gen_lorenz(spec: LorenzSpec) -> SeriesFrame:
     return SeriesFrame(states, ["x", "y", "z"])
 
 
+DATASET_KINDS = {"ar": ArSpec, "lorenz": LorenzSpec}
+
+
+def dataset_kind(spec: ArSpec | LorenzSpec) -> str:
+    """The kind under which ``DATASET_KINDS`` holds the class of ``spec``."""
+    return next(kind for kind, cls in DATASET_KINDS.items() if isinstance(spec, cls))
+
+
 def write_spec_sidecar(spec, path) -> None:
-    """JSON sidecar describing the generator, for reproducibility."""
+    """Write ``{"kind": ..., **fields}``: a ``gen --config`` file and an experiment dataset."""
     with open(path, "w") as fh:
-        json.dump({**to_json(spec), "generator": type(spec).__name__}, fh, indent=2)
+        json.dump({"kind": dataset_kind(spec), **to_json(spec)}, fh, indent=2)

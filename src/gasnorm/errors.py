@@ -29,7 +29,7 @@ class NumericalError(GasNormError, ArithmeticError):
 
 
 class FitError(NumericalError):
-    """A fit could not start, or every feature failed and not all on invalid input."""
+    """A fit could not start, or a frame's fit failed and not only on invalid input."""
 
 
 def check_keys(d, where: str, required=(), allowed=None) -> dict:

@@ -15,7 +15,6 @@ load it.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -211,7 +210,7 @@ def fit(ys, config: FitConfig) -> FitResult:
 
 
 def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:
-    """Independent per-feature fits; failures are collected, not fail-fast."""
+    """Independent per-feature fits; one error names every feature that failed, and why."""
     results: dict[str, FitResult] = {}
     errors: dict[str, Exception] = {}
     for name in frame.feature_names:
@@ -219,12 +218,10 @@ def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:
             results[name] = fit(frame.feature(name), config)
         except (ValidationError, ArithmeticError) as exc:
             errors[name] = exc
-    if errors and not results:
+    if errors:
         reasons = "; ".join(f"{name}: {exc}" for name, exc in errors.items())
         invalid = all(isinstance(exc, ValidationError) for exc in errors.values())
-        raise (ValidationError if invalid else FitError)(f"every feature failed to fit: {reasons}")
-    if errors:
-        for name, exc in errors.items():
-            warnings.warn(f"feature {name!r} failed to fit: {exc}", stacklevel=2)
+        error = ValidationError if invalid else FitError
+        raise error(f"{len(errors)} of {frame.n_features} features failed to fit: {reasons}")
     return results
 

@@ -58,6 +58,17 @@ class NormalizerSpec:
         if (self.kind is NormalizerKind.GLOBAL_NORM) != (self.global_stats is not None):
             raise ValidationError("global_stats must be given iff kind is global_norm")
 
+    @classmethod
+    def for_frame(cls, kind, frame: SeriesFrame, gas_params=None) -> NormalizerSpec:
+        """The ``kind`` normalizer fitted on ``frame``: global_norm takes each feature's
+        (mean, population variance) over it, gas_norm the given ``gas_params``."""
+        kind = NormalizerKind(kind)
+        moments = None
+        if kind is NormalizerKind.GLOBAL_NORM:
+            moments = {n: (float(np.mean(frame.feature(n))), float(np.var(frame.feature(n))))
+                       for n in frame.feature_names}
+        return cls(kind, gas_params, moments)
+
 
 @dataclass(frozen=True)
 class NormalizedBatch:
@@ -85,14 +96,6 @@ class NormalizedBatch:
     @property
     def horizon(self) -> int:
         return self.horizon_mu.shape[-2]
-
-
-def feature_moments(frame: SeriesFrame) -> dict[str, tuple[float, float]]:
-    """Each feature's (mean, population variance) over ``frame``: global_norm's statistics."""
-    return {
-        n: (float(np.mean(frame.feature(n))), float(np.var(frame.feature(n))))
-        for n in frame.feature_names
-    }
 
 
 def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]]:

@@ -28,6 +28,7 @@ from gasnorm import (
     predict,
     run_experiment,
     train,
+    write_csv,
 )
 from gasnorm.filtering import filter_series
 from gasnorm.fitting import _initial_params, penalized_objective
@@ -150,6 +151,40 @@ def test_adaptive_normalization_beats_static_on_trending_data():
     static = report.row("global_norm")
     assert selected.error is None and static.error is None
     assert selected.mase_mean < static.mase_mean
+
+
+def test_adaptive_variance_beats_static_on_a_variance_break(tmp_path):
+    """AR(1), phi 0.7, whose noise std steps from 1 to 4 halfway: gas_norm at
+    gamma 0.9 beats global_norm and local_norm in mean test MASE over 5
+    seeds, each by at least two combined standard errors. The mean never
+    moves, so only the filter's variance half can earn the gap. (Measured:
+    3.31 +/- 0.08 against 3.97 +/- 0.06 and 4.13 +/- 0.12.)"""
+    t = np.arange(900)
+    eps = np.random.default_rng(0).normal(size=900) * np.where(t < 450, 1.0, 4.0)
+    ys = np.empty(900)
+    ys[0] = eps[0]
+    for i in range(1, 900):
+        ys[i] = 0.7 * ys[i - 1] + eps[i]
+    path = tmp_path / "variance_break.csv"
+    write_csv(SeriesFrame(ys[:, None], ["y"]), path)
+    spec = ExperimentSpec(
+        dataset=str(path),
+        normalizers=("gas_norm", "global_norm", "local_norm"),
+        forecaster=MlpSpec((32,), "relu", learning_rate=1e-4, epochs=20),
+        split=SplitSpec(0.6, 0.2, context_length=20, horizon=4),
+        gammas=(0.9,),
+        seeds=(0, 1, 2, 3, 4),
+        family=Family.STUDENT_T,
+        nu=100.0,
+    )
+    report = run_experiment(spec)
+    adaptive = report.row("gas_norm", 0.9)
+    assert adaptive.error is None and adaptive.n_seeds == 5
+    for name in ("global_norm", "local_norm"):
+        static = report.row(name)
+        assert static.error is None and static.n_seeds == 5
+        gap = static.mase_mean - adaptive.mase_mean
+        assert gap >= 2.0 * np.hypot(static.mase_stderr, adaptive.mase_stderr)
 
 
 def _lorenz_pairs(frame, train_frac):

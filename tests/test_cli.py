@@ -657,6 +657,7 @@ class TestInvalidInputExitsOne:
             ("dataset", "abc", "dataset"),
             ("dataset", {"kind": "bogus", "path": "x.csv"}, "'bogus'"),
             ("dataset", {"kind": ["csv"]}, "dataset kind"),
+            ("forecaster", {"seed": 3}, "seeds"),
         ],
     )
     def test_experiment_config_value_out_of_range(self, tmp_path, capsys, key, value, named):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from _helpers import add_quadratic_trend, affine_map, inject_outlier
 from _oracles import ar_values, lorenz_states, rk4_lorenz_step
-from gasnorm import ArSpec, LorenzSpec, SeriesFrame, gen_ar, gen_lorenz
-from gasnorm.datagen import ar_is_stable, rk4_step, write_spec_sidecar
+from gasnorm import ArSpec, LorenzSpec, SeriesFrame, gen_ar, gen_lorenz, load_csv
+from gasnorm.cli import experiment_spec_from_dict, main
+from gasnorm.datagen import ar_is_stable, rk4_step
 from gasnorm.errors import NumericalError, ValidationError
+from gasnorm.evaluation import load_dataset
 
 
 class TestGenAr:
@@ -181,10 +185,20 @@ class TestInjectOutlier:
 
 
 def test_sidecar_round_trip(tmp_path):
-    spec = ArSpec(length=12, seed=3, trend_slope=0.1)
-    path = tmp_path / "spec.json"
-    write_spec_sidecar(spec, path)
-    doc = json.loads(path.read_text())
-    assert doc["generator"] == "ArSpec"
-    assert doc["length"] == 12
-    assert doc["trend_slope"] == 0.1
+    """The gen sidecar is a gen config that rewrites its CSV byte for byte, and a dataset block."""
+    split = {"train_fraction": 0.6, "context_length": 4, "horizon": 1}
+    for kind, flags in (("ar", ["--length", "40", "--seed", "3", "--trend-slope", "0.1"]),
+                        ("lorenz", ["--steps", "40", "--seed", "2"])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", kind, *flags, "--output-dir", str(tmp_path)]) == 0
+            assert main(["gen", "--config", str(tmp_path / f"{kind}.json"),
+                         "--output-dir", str(tmp_path / "regen")]) == 0
+        csv_bytes = (tmp_path / f"{kind}.csv").read_bytes()
+        assert (tmp_path / "regen" / f"{kind}.csv").read_bytes() == csv_bytes
+        doc = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert doc["kind"] == kind and "generator" not in doc
+        spec = experiment_spec_from_dict({"dataset": doc, "split": split})
+        frame, dataset_id = load_dataset(spec.dataset)
+        written = load_csv(tmp_path / f"{kind}.csv")
+        assert dataset_id == kind and frame.feature_names == written.feature_names
+        np.testing.assert_array_equal(frame.values, written.values)

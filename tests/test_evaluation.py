@@ -12,6 +12,7 @@ from gasnorm import (
     ExperimentSpec,
     LorenzSpec,
     MlpSpec,
+    SeriesFrame,
     SplitSpec,
     emit_report,
     gen_ar,
@@ -198,6 +199,18 @@ class TestRunExperiment:
             assert report.row(name).n_seeds == 1
             assert report.row(name).error is None
         assert "gas_norm_selected" not in {r.normalizer for r in report.rows}
+
+    def test_a_feature_that_fails_to_fit_names_its_reason_in_the_cell(self, tmp_path):
+        values = np.random.default_rng(0).normal(size=(260, 2)).cumsum(axis=0)
+        values[50, 1] = 1e154  # finite variance, but a non-finite objective at gamma 0.99
+        path = tmp_path / "spike.csv"
+        write_csv(SeriesFrame(values, ["a", "b"]), path)
+        spec = tiny_spec(dataset=str(path), normalizers=("gas_norm",), gammas=(0.99,))
+        row = run_experiment(spec).row("gas_norm", 0.99)
+        assert row.n_seeds == 0
+        assert row.error == (
+            "1 of 2 features failed to fit: b: objective is non-finite at the initialization point"
+        )
 
     def test_csv_dataset_scores_as_its_generator(self, tmp_path):
         spec = tiny_spec(seeds=(0, 1))

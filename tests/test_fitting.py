@@ -1,6 +1,6 @@
 import json
 import os
-import warnings
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -269,19 +269,13 @@ class TestFitFrame:
             fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1, max_iters=10))
         assert "a: " in str(info.value) and "b: " in str(info.value)
 
-    def test_a_failed_feature_is_warned_about_and_the_rest_fit(self):
+    def test_one_failed_feature_fails_the_frame_and_is_named(self):
         values = np.random.default_rng(5).normal(size=(60, 2))
         values[30, 1] = 1e200
         frame = SeriesFrame(values, ["a", "b"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1,
-                                                 max_iters=20))
-        assert list(results) == ["a"]
-        assert [str(w.message) for w in caught] == [
-            "feature 'b' failed to fit: training variance must be finite, got inf"
-        ]
-        assert caught[0].category is UserWarning
+        message = "1 of 2 features failed to fit: b: training variance must be finite, got inf"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1, max_iters=20))
 
     def test_a_numerical_failure_makes_it_a_fit_error(self, monkeypatch):
         def fail(ys, config):

@@ -21,8 +21,8 @@ from gasnorm import (
 from gasnorm.errors import ValidationError
 
 
-def experiment(**kw):
-    return ExperimentSpec(ArSpec(length=60), (NormalizerKind.GLOBAL_NORM,), MlpSpec((4,)),
+def experiment(dataset=ArSpec(length=60), **kw):
+    return ExperimentSpec(dataset, (NormalizerKind.GLOBAL_NORM,), MlpSpec((4,)),
                           SplitSpec(0.6, 0.2, 4, 2), **kw)
 
 
@@ -42,6 +42,10 @@ CASES = {
         "training length 2 must exceed m=2",
     ),
     "experiment_gammas": (lambda: experiment(gammas=(0.5, 1.0)), "gammas must lie in [0, 1)"),
+    "experiment_dataset": (
+        lambda: experiment(dataset=3),
+        "dataset must be an ArSpec, a LorenzSpec or a csv dataset path (a non-empty string), got 3",
+    ),
     "fit_gamma": (lambda: FitConfig(gamma=-0.1), "gamma must lie in [0, 1)"),
     "mlp_epochs": (
         lambda: MlpSpec(epochs=0),
