@@ -69,6 +69,10 @@ def _cmd_gen(args) -> int:
     if foreign:
         raise ValidationError(f"gen {kind} does not read {', '.join(foreign)}")
     config = {k: v for k, v in cfg.items() if k != "kind"}
+    twice = ["--" + k.replace("_", "-") for k in flags if k in config]
+    if twice:
+        verb = "is" if len(twice) == 1 else "are"
+        raise ValidationError(f"{', '.join(twice)} {verb} also set by {args.config}")
     spec = from_keys(cls, {**flags, **config}, f"gen {kind} config")
     # called by module-level name, where perfbench's tracer wraps the generators
     frame = gen_ar(spec) if kind == "ar" else gen_lorenz(spec)
@@ -97,12 +101,13 @@ def _load_params(path) -> dict[str, GasParams]:
 
 def _normalized(args):
     """The ``data`` CSV and its batch under ``--normalizer``: what normalize and forecast share."""
+    gas = args.normalizer == NormalizerKind.GAS_NORM.value
+    if gas and not args.params:
+        raise ValidationError("gas_norm requires --params")
+    if args.params and not gas:
+        raise ValidationError(f"{args.normalizer} does not read --params")
     frame = load_csv(args.data)
-    params = None
-    if args.normalizer == NormalizerKind.GAS_NORM.value:
-        if not args.params:
-            raise ValidationError("gas_norm requires --params")
-        params = _load_params(args.params)
+    params = _load_params(args.params) if gas else None
     nspec = NormalizerSpec.for_frame(args.normalizer, frame, params)
     return frame, normalize(nspec, frame.values, args.horizon, frame.feature_names)
 
@@ -183,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON config file; its keys override the flags")
+    p.add_argument("--config", help="JSON config file; a flag may not set a field it also sets")
     p.add_argument("--output-dir", default=".")
     p.add_argument("kind", nargs="?", choices=list(DATASET_KINDS))
     p.add_argument("--length", type=int, help="ar only")
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("data", help="context CSV")
     shared.add_argument("--normalizer", default="gas_norm",
                         choices=[k.value for k in NormalizerKind])
-    shared.add_argument("--params", help="fitted params JSON (gas_norm)")
+    shared.add_argument("--params", help="fitted params JSON (gas_norm only)")
     shared.add_argument("--horizon", type=int, default=1)
 
     p = sub.add_parser("normalize", help="normalize a context CSV", parents=[shared])

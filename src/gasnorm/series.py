@@ -98,28 +98,33 @@ def load_csv(path) -> SeriesFrame:
 
 
 def _parse_csv(fh, source: str) -> SeriesFrame:
-    """The rows of the open text file ``fh``; ``source`` names it in errors."""
+    """The rows of the open text file ``fh``; ``source`` names it in errors.
+
+    Cells stream from ``csv.reader`` into one float64 array, 8 bytes each,
+    with no list of rows. On any fault the file is read again from the
+    start as a list of rows, so that ``_raise_first_fault`` names the
+    first fault in the same words whichever way it was met.
+    """
+    rows = filter(None, csv.reader(fh))
     try:
-        rows = [row for row in csv.reader(fh) if row]
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{source}: not a readable CSV file ({exc})") from None
-    if not rows:
-        raise ValidationError(f"{source}: empty CSV")
-    names = [c.strip() for c in rows[0]]
-    for j, name in enumerate(names):
-        if _float(name) is not None and np.isfinite(_float(name)):
-            raise ValidationError(f"{source}: header cell {j} is a number ({name!r})")
-    rows = rows[1:]
-    if not rows:
-        raise ValidationError(f"{source}: header but no data rows")
-    width = len(rows[0])
-    try:
-        data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64)
-    except ValueError:
+        names = [c.strip() for c in next(rows)]
+        first = next(rows)
+        cells = chain(first, chain.from_iterable(_of_width(rows, len(first))))
+        data = np.fromiter(map(float, cells), np.float64)
+    except (csv.Error, ValueError, StopIteration):  # UnicodeDecodeError is a ValueError
         data = None
-    if data is None or set(map(len, rows)) != {width} or not np.isfinite(data).all():
-        _raise_first_fault(rows, width, source)
-    return SeriesFrame(data.reshape(len(rows), width), names)
+    if data is None or any(map(_is_number, names)) or not np.isfinite(data).all():
+        fh.seek(0)
+        _raise_first_fault(fh, source)
+    return SeriesFrame(data.reshape(-1, len(first)), names)
+
+
+def _of_width(rows, width: int):
+    """The rows, raising ValueError at the first one not ``width`` cells wide."""
+    for row in rows:
+        if len(row) != width:
+            raise ValueError
+        yield row
 
 
 def _float(cell: str) -> float | None:
@@ -130,8 +135,32 @@ def _float(cell: str) -> float | None:
         return None
 
 
-def _raise_first_fault(rows: list[list[str]], width: int, source: str) -> None:
-    """Raise the error naming the first ragged row or bad cell, in row-major order."""
+def _is_number(cell: str) -> bool:
+    """A header cell that may not name a feature: a finite number."""
+    v = _float(cell)
+    return v is not None and np.isfinite(v)
+
+
+def _raise_first_fault(fh, source: str) -> None:
+    """Read ``fh`` as a list of rows and raise the error naming its first fault.
+
+    An unreadable file comes first, then an empty file, a numeric header
+    cell and a header without data; then the first ragged row or bad cell,
+    in row-major order.
+    """
+    try:
+        rows = [row for row in csv.reader(fh) if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{source}: not a readable CSV file ({exc})") from None
+    if not rows:
+        raise ValidationError(f"{source}: empty CSV")
+    for j, name in enumerate(c.strip() for c in rows[0]):
+        if _is_number(name):
+            raise ValidationError(f"{source}: header cell {j} is a number ({name!r})")
+    rows = rows[1:]
+    if not rows:
+        raise ValidationError(f"{source}: header but no data rows")
+    width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(

@@ -1,8 +1,9 @@
 """Data transforms and checks that only the tests use.
 
 They build inputs for the shift, outlier and trend tests, check the
-MLP's backprop, read CSV text, draw frames for the CSV writer tests and
-run code in a fresh interpreter; the pipeline itself needs none of them.
+MLP's backprop, read CSV text, draw frames for the CSV writer tests,
+measure the memory a call allocates and run code in a fresh interpreter;
+the pipeline itself needs none of them.
 """
 
 import io
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -54,6 +56,21 @@ def frames(draw):
     )
     values = np.resize(np.array(pool + EXTREMES[: draw(st.integers(0, 6))]), (n, k))
     return SeriesFrame(values, draw(st.lists(NAMES, min_size=k, max_size=k, unique=True)))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``'s result and the most bytes it held at once, numpy buffers included."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def fresh_interpreter(code: str) -> str:

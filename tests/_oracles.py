@@ -3,16 +3,18 @@
 These deliberately re-derive everything from the density definitions
 (scipy.stats for log-densities, plain formula transcriptions for the
 scores, the Fisher information and the score steps) and never call into
-gasnorm's filter path; they take only its enum and error types.
+gasnorm's filter path; they take only its enum, error and frame types.
 """
 
 import csv
 import io
 import math
+from itertools import chain
 
 import numpy as np
 from scipy import stats
 
+from gasnorm import SeriesFrame
 from gasnorm.errors import ValidationError
 from gasnorm.filtering import Family
 
@@ -187,3 +189,44 @@ def save_batch_csvs_per_value(batch, stem):
                     fh.write(
                         f"{phase},{t},{_quoted([name])},{mu[t, j]:.17g},{scale[t, j]:.17g}\n"
                     )
+
+
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def parse_csv_rows(fh, source):
+    """The CSV reader as a list of rows: every row is read before any check runs."""
+    try:
+        rows = [row for row in csv.reader(fh) if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{source}: not a readable CSV file ({exc})") from None
+    if not rows:
+        raise ValidationError(f"{source}: empty CSV")
+    names = [c.strip() for c in rows[0]]
+    for j, name in enumerate(names):
+        if _float(name) is not None and np.isfinite(_float(name)):
+            raise ValidationError(f"{source}: header cell {j} is a number ({name!r})")
+    rows = rows[1:]
+    if not rows:
+        raise ValidationError(f"{source}: header but no data rows")
+    width = len(rows[0])
+    try:
+        data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64)
+    except ValueError:
+        data = None
+    if data is None or set(map(len, rows)) != {width} or not np.isfinite(data).all():
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValidationError(
+                    f"{source}: ragged row {i}: expected {width} cells, got {len(row)}"
+                )
+            for j, cell in enumerate(row):
+                v = _float(cell)
+                if v is None or not np.isfinite(v):
+                    what = "non-numeric cell" if v is None else "non-finite value"
+                    raise ValidationError(f"{source}: {what} at row {i}, column {j}: {cell!r}")
+    return SeriesFrame(data.reshape(len(rows), width), names)

@@ -120,16 +120,25 @@ class TestGen:
         assert flag in err
         assert not list(tmp_path.iterdir())
 
-    def test_config_overrides_flags(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--length", "999"], "--length is also set by"),
+            (["--seed", "1", "--length", "5", "--noise-std", "2"], "--seed, --length are also set by"),
+        ],
+        ids=["one_flag", "two_flags"],
+    )
+    def test_flag_the_config_also_sets_exits_one(self, tmp_path, capsys, flags, named):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"kind": "ar", "length": 17, "seed": 0}))
-        code, out, _ = run(
-            ["gen", "--config", str(cfg), "--length", "999",
-             "--output-dir", str(tmp_path)],
-            capsys,
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["gen", "ar", "--config", str(cfg), *flags, "--output-dir", str(out_dir)], capsys
         )
-        assert code == 0
-        assert load_csv(out.strip()).values.shape[0] == 17
+        assert code == 1
+        assert out == ""
+        assert f"{named} {cfg}" in err
+        assert not out_dir.exists()
 
 
 @pytest.fixture
@@ -246,6 +255,22 @@ class TestFitNormalizeForecast:
         )
         assert code == 1
         assert "params" in err
+
+    @pytest.mark.parametrize("command", ["normalize", "forecast"])
+    @pytest.mark.parametrize("normalizer", ["global_norm", "local_norm", "mean_scaling"])
+    def test_params_with_a_normalizer_that_does_not_read_them_exits_one(
+        self, tmp_path, small_csv, capsys, command, normalizer
+    ):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            [command, small_csv, "--normalizer", normalizer,
+             "--params", str(tmp_path / "missing.json"), "--output-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {normalizer} does not read --params\n"
+        assert not out_dir.exists()
 
     def test_normalized_output_with_quoted_names_reads_back(self, tmp_path, capsys):
         path = tmp_path / "quoted.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import traced_peak
 from _oracles import fd_scores, naive_filter, score_and_fim
 from gasnorm import (
     VARIANCE_FLOOR,
@@ -248,6 +249,14 @@ class TestFilterSeries:
     def test_empty_series_errors(self):
         with pytest.raises(ValidationError):
             filter_series(gaussian_params(), [])
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_holds_under_three_times_its_trace_bytes(self, family):
+        # a list of boxed floats per output took about 5x
+        ys = np.cumsum(np.random.default_rng(19).normal(size=20_000)) * 0.1
+        trace, peak = traced_peak(filter_series, GasParams(family=family, gamma=0.5), ys)
+        outputs = (trace.mu_prior, trace.sigma2_prior, trace.mu_filt, trace.sigma2_filt)
+        assert peak < 3 * sum(a.nbytes for a in outputs)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_state_blow_up_names_its_timestep(self, family):

@@ -1,13 +1,14 @@
+import csv
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import difference, frames, loads_csv
-from _oracles import write_csv_per_value
+from _helpers import difference, frames, loads_csv, traced_peak
+from _oracles import parse_csv_rows, write_csv_per_value
 from gasnorm import SeriesFrame, SplitSpec, load_csv, split, windows, write_csv
 from gasnorm.errors import ValidationError
 
@@ -17,7 +18,83 @@ def make_frame(n, k=1, seed=0):
     return SeriesFrame(rng.normal(size=(n, k)))
 
 
+OVER_LIMIT = "9" * (csv.field_size_limit() + 1)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "-4.9e-324", "2.2250738585072014e-308", " 2 ", '"3"']),
+)
+FAULTS = st.sampled_from(
+    ["1e999", "nan", "-inf", "x", "", '"4,5"', '"6\n7"', '"a""b"'] * 4 + [OVER_LIMIT]
+)
+NAMES = st.sampled_from(["a", "b", " c ", '"d,e"', "nan", "inf"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes: a header, then rows of numbers; some files hold faults of any kind."""
+    width = draw(st.integers(1, 3))
+    faulty = draw(st.booleans())
+    cells = st.one_of(NUMBERS, FAULTS) if faulty else NUMBERS
+    widths = st.one_of(st.just(width), st.integers(0, 4)) if faulty else st.just(width)
+    header = st.one_of(NAMES, NAMES, NAMES, cells) if faulty else NAMES
+    lines = [draw(st.lists(header, min_size=width, max_size=width, unique=not faulty))]
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(widths)
+        lines.append(draw(st.lists(cells, min_size=n, max_size=n)))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([[], ["  "]])))  # blank or whitespace-only
+    text = "".join(",".join(line) + draw(LINE_ENDS) for line in lines)
+    data = text.encode()
+    if faulty and draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _outcome(read, path):
+    """What reading ``path`` gives: the frame's bits and names, or the error message."""
+    try:
+        frame = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return frame.values.shape, frame.values.tobytes(), frame.feature_names
+
+
+def _oracle_read(path):
+    with open(path, newline="") as fh:
+        return parse_csv_rows(fh, str(path))
+
+
 class TestLoadCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files())
+    @example(b"a,b\n\n1,2\n   \n3,4\n")  # a blank line, then a whitespace-only row
+    @example(b"a,b\r\n1,2\r\n\r\n3,4\r\n")
+    @example(b'"a,b",c\n"1","2"\n3,"4"\n')
+    @example(b"a,b\n1,2\n3\n4,5\n")
+    @example(b"a,b\n1,nan\nx,2,3\n")
+    @example(b"a\n1\n-inf\n")
+    @example(b"a,b\n-0.0,5e-324\n-4.9e-324,2.2250738585072014e-308\n")
+    @example(b"a,b\n")
+    @example(b"")
+    @example(b"1.5,b\nx\n")
+    @example(b"a,a\n1,2\n")
+    @example(b"a\nx\n1\n\xff\n")
+    @example(f"a\nx\n{OVER_LIMIT}\n".encode())
+    def test_matches_the_list_based_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(data)
+            assert _outcome(load_csv, path) == _outcome(_oracle_read, path)
+
+    def test_holds_under_three_times_its_values(self, tmp_path):
+        # a list of string rows took about 14x
+        path = tmp_path / "long.csv"
+        write_csv(make_frame(20_000, 3), path)
+        frame, peak = traced_peak(load_csv, path)
+        assert peak < 3 * frame.values.nbytes
+
     def test_basic_with_header(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n3,4\n5,6\n")
