@@ -60,6 +60,8 @@ _GEN_FIELDS = set().union(*map(_fields, DATASET_KINDS.values()))
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
     kind = args.kind or cfg.get("kind")
+    if cfg.get("kind", kind) != kind:
+        raise ValidationError(f"kind {kind} is also set by {args.config}, as {cfg['kind']!r}")
     if kind not in list(DATASET_KINDS):  # a list, not the dict: the kind may be unhashable
         raise ValidationError(f"unknown generator kind {kind!r}")
     cls = DATASET_KINDS[kind]
@@ -136,9 +138,11 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    actual = load_csv(args.actual)
-    forecast = load_csv(args.forecast)
-    train = load_csv(args.train)
+    actual, forecast, train = map(load_csv, (args.actual, args.forecast, args.train))
+    for path, frame in ((args.forecast, forecast), (args.train, train)):
+        if frame.feature_names != actual.feature_names:
+            theirs = f"{args.actual} has {actual.feature_names}"
+            raise ValidationError(f"{path} has features {frame.feature_names}, but {theirs}")
     values = mase(actual.values, forecast.values, train.values, args.m)
     for name, v in zip(actual.feature_names, values):
         sys.stdout.write(csv_line([name, f"{v:.17g}"]))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_fields, to_json
+from .errors import NumericalError, ValidationError, check_at_least, check_fields, to_json
 from .series import SeriesFrame
 
 
@@ -30,8 +30,7 @@ class ArSpec:
         for name in ("length", "noise_std", "season_period"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        check_at_least(self, seed=0)
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,9 @@ class LorenzSpec:
         check_fields(self)
         if not 0.0 < self.dt <= 0.05:
             raise ValidationError("dt must lie in (0, 0.05]")
-        if self.steps < 1:
-            raise ValidationError("steps must be at least 1")
+        check_at_least(self, steps=1, seed=0)
         if self.noise_std is not None and self.noise_std < 0:
             raise ValidationError("noise_std must be non-negative")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def ar_is_stable(ar_coeffs) -> bool:

@@ -28,9 +28,10 @@ def mase(actual, forecast, train, m: int = 1) -> np.ndarray:
     actual = np.atleast_2d(np.asarray(actual, dtype=np.float64))
     forecast = np.atleast_2d(np.asarray(forecast, dtype=np.float64))
     train_v = np.atleast_2d(np.asarray(train, dtype=np.float64))
-    if actual.shape != forecast.shape:
+    if actual.shape != forecast.shape or train_v.shape[1:] != actual.shape[1:]:
         raise ValidationError(
-            f"actual shape {actual.shape} does not match forecast {forecast.shape}"
+            f"actual {actual.shape}, forecast {forecast.shape} and train {train_v.shape}"
+            " must agree in shape, except in the train's length"
         )
     if m < 1:
         raise ValidationError("seasonality m must be positive")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_fields
+from .errors import NumericalError, ValidationError, check_at_least, check_fields
 
 
 class Activation(enum.Enum):
@@ -38,8 +38,7 @@ class MlpSpec:
         check_fields(self)
         if min((*self.layer_widths, self.learning_rate, self.epochs, self.batch_size)) <= 0:
             raise ValidationError("layer_widths, learning_rate, epochs, batch_size must be > 0")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        check_at_least(self, seed=0)
 
 
 @dataclass(frozen=True)

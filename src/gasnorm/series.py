@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from array import array
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count, islice
 
 import numpy as np
 
 from .errors import ValidationError, check_fields
 
-_BLOCK_ROWS = 4096  # rows per % format call when writing CSV
+_BLOCK_ROWS = 1024  # rows per block read from or written to a CSV file
 
 
 @dataclass(frozen=True)
@@ -100,77 +104,66 @@ def load_csv(path) -> SeriesFrame:
 def _parse_csv(fh, source: str) -> SeriesFrame:
     """The rows of the open text file ``fh``; ``source`` names it in errors.
 
-    Cells stream from ``csv.reader`` into one float64 array, 8 bytes each,
-    with no list of rows. On any fault the file is read again from the
-    start as a list of rows, so that ``_raise_first_fault`` names the
-    first fault in the same words whichever way it was met.
+    The file is read once, ``_BLOCK_ROWS`` rows at a time, into one float64
+    array of 8 bytes a cell. A fault is raised only once the rest of the
+    file has been read, so that an unreadable file is named first; then
+    come an empty file, a numeric header cell and a header without data,
+    then the first ragged row or bad cell, in row-major order.
     """
     rows = filter(None, csv.reader(fh))
     try:
-        names = [c.strip() for c in next(rows)]
-        first = next(rows)
-        cells = chain(first, chain.from_iterable(_of_width(rows, len(first))))
-        data = np.fromiter(map(float, cells), np.float64)
-    except (csv.Error, ValueError, StopIteration):  # UnicodeDecodeError is a ValueError
-        data = None
-    if data is None or any(map(_is_number, names)) or not np.isfinite(data).all():
-        fh.seek(0)
-        _raise_first_fault(fh, source)
-    return SeriesFrame(data.reshape(-1, len(first)), names)
-
-
-def _of_width(rows, width: int):
-    """The rows, raising ValueError at the first one not ``width`` cells wide."""
-    for row in rows:
-        if len(row) != width:
-            raise ValueError
-        yield row
-
-
-def _float(cell: str) -> float | None:
-    """``float(cell)``, or None if the cell is not a number."""
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
-def _is_number(cell: str) -> bool:
-    """A header cell that may not name a feature: a finite number."""
-    v = _float(cell)
-    return v is not None and np.isfinite(v)
-
-
-def _raise_first_fault(fh, source: str) -> None:
-    """Read ``fh`` as a list of rows and raise the error naming its first fault.
-
-    An unreadable file comes first, then an empty file, a numeric header
-    cell and a header without data; then the first ragged row or bad cell,
-    in row-major order.
-    """
-    try:
-        rows = [row for row in csv.reader(fh) if row]
+        names, data, fault = _read(rows)
+        deque(rows, 0)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{source}: not a readable CSV file ({exc})") from None
-    if not rows:
-        raise ValidationError(f"{source}: empty CSV")
-    for j, name in enumerate(c.strip() for c in rows[0]):
-        if _is_number(name):
-            raise ValidationError(f"{source}: header cell {j} is a number ({name!r})")
-    rows = rows[1:]
-    if not rows:
-        raise ValidationError(f"{source}: header but no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
+    if fault:
+        raise ValidationError(f"{source}: {fault}")
+    return SeriesFrame(data, names)
+
+
+def _read(rows) -> tuple[list[str], np.ndarray | None, str | None]:
+    """The header's names and the data as (T, k), or the first fault met on the way."""
+    header = next(rows, None)
+    if header is None:
+        return [], None, "empty CSV"
+    names = [c.strip() for c in header]
+    for j, name in enumerate(names):
+        if not _cell_fault(name):
+            return names, None, f"header cell {j} is a number ({name!r})"
+    values, width = array("d"), None
+    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+    for start, block in zip(count(0, _BLOCK_ROWS), blocks):
+        width = width or len(block[0])
+        # kept whole if every row is `width` finite numbers (float raises ValueError
+        # on any other cell); a block that fails is scanned row by row for its fault
+        with suppress(ValueError):
+            if set(map(len, block)) == {width}:
+                values.extend(map(float, chain.from_iterable(block)))
+                if np.isfinite(np.frombuffer(values)[-width * len(block) :]).all():
+                    block.clear()  # its strings are freed before the next block is read
+                    continue
+        return names, None, _first_fault(block, start, width)
+    if width is None:
+        return names, None, "header but no data rows"
+    return names, np.frombuffer(values).reshape(-1, width), None
+
+
+def _first_fault(block, start: int, width: int) -> str:
+    """The first ragged row or bad cell of ``block``, whose first row is data row ``start``."""
+    for i, row in enumerate(block, start):
         if len(row) != width:
-            raise ValidationError(
-                f"{source}: ragged row {i}: expected {width} cells, got {len(row)}"
-            )
+            return f"ragged row {i}: expected {width} cells, got {len(row)}"
         for j, cell in enumerate(row):
-            v = _float(cell)
-            if v is None or not np.isfinite(v):
-                what = "non-numeric cell" if v is None else "non-finite value"
-                raise ValidationError(f"{source}: {what} at row {i}, column {j}: {cell!r}")
+            if what := _cell_fault(cell):
+                return f"{what} at row {i}, column {j}: {cell!r}"
+
+
+def _cell_fault(cell: str) -> str | None:
+    """What keeps ``cell`` from being a data value, or None if it is a finite number."""
+    try:
+        return None if math.isfinite(float(cell)) else "non-finite value"
+    except ValueError:
+        return "non-numeric cell"
 
 
 def csv_line(cells) -> str:

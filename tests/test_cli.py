@@ -140,6 +140,23 @@ class TestGen:
         assert f"{named} {cfg}" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("kind", ["ar", "lorenz"])
+    def test_kind_given_twice_must_agree(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"kind": "lorenz", "seed": 3}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["gen", kind, "--config", str(cfg), "--output-dir", str(out_dir)], capsys
+        )
+        if kind == "lorenz":
+            assert code == 0
+            assert json.loads((out_dir / "lorenz.json").read_text())["seed"] == 3
+        else:
+            assert code == 1
+            assert out == ""
+            assert err == f"error: kind ar is also set by {cfg}, as 'lorenz'\n"
+            assert not out_dir.exists()
+
 
 @pytest.fixture
 def small_csv(tmp_path):
@@ -316,6 +333,24 @@ class TestEval:
         name, value = out.strip().split(",")
         assert name == "y"
         assert float(value) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize(
+        "role, names",
+        [("forecast", ["y", "x"]), ("train", ["x"]), ("train", ["x", "y", "z"])],
+        ids=["forecast_columns_swapped", "train_of_one_column", "train_of_three_columns"],
+    )
+    def test_features_unlike_the_actual_exit_one(self, tmp_path, capsys, role, names):
+        paths = {r: tmp_path / f"{r}.csv" for r in ("actual", "forecast", "train")}
+        values = np.arange(12.0).reshape(4, 3) ** 2
+        for r, path in paths.items():
+            cols = names if r == role else ["x", "y"]
+            write_csv(SeriesFrame(values[:, : len(cols)], cols), path)
+        code, out, err = run(["eval", *(f"--{r}={p}" for r, p in paths.items())], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {paths[role]} has features {names}, but {paths['actual']} has ['x', 'y']\n"
+        )
 
     def test_names_are_quoted(self, tmp_path, capsys):
         for name, values in (("actual", [4.0, 5.0]), ("forecast", [3.0, 3.0]),

@@ -31,7 +31,7 @@ CASES = {
     "ar_length": (lambda: ArSpec(length=0), "length must be positive"),
     "ar_noise_std": (lambda: ArSpec(noise_std=0.0), "noise_std must be positive"),
     "ar_season_period": (lambda: ArSpec(season_period=-12), "season_period must be positive"),
-    "lorenz_steps": (lambda: LorenzSpec(steps=0), "steps must be at least 1"),
+    "lorenz_steps": (lambda: LorenzSpec(steps=0), "steps must be at least 1, got 0"),
     "lorenz_noise_std": (lambda: LorenzSpec(noise_std=-0.1), "noise_std must be non-negative"),
     "mase_m": (
         lambda: mase(np.ones((2, 1)), np.ones((2, 1)), np.ones((5, 1)), m=0),
@@ -40,6 +40,11 @@ CASES = {
     "mase_train_length": (
         lambda: mase(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), m=2),
         "training length 2 must exceed m=2",
+    ),
+    "mase_train_width": (
+        lambda: mase(np.ones((2, 2)), np.ones((2, 2)), np.arange(5.0)[:, None]),
+        "actual (2, 2), forecast (2, 2) and train (5, 1) must agree in shape,"
+        " except in the train's length",
     ),
     "experiment_gammas": (lambda: experiment(gammas=(0.5, 1.0)), "gammas must lie in [0, 1)"),
     "experiment_dataset": (

@@ -1,4 +1,5 @@
 import csv
+import os
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from _helpers import difference, frames, loads_csv, traced_peak
 from _oracles import parse_csv_rows, write_csv_per_value
 from gasnorm import SeriesFrame, SplitSpec, load_csv, split, windows, write_csv
 from gasnorm.errors import ValidationError
+from gasnorm.series import _BLOCK_ROWS
 
 
 def make_frame(n, k=1, seed=0):
@@ -31,8 +33,13 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
-def csv_files(draw):
-    """CSV bytes: a header, then rows of numbers; some files hold faults of any kind."""
+def csv_files(draw, lead=st.just(0)):
+    """CSV bytes: a header, then rows of numbers; some files hold faults of any kind.
+
+    ``lead`` draws how many copies of one valid row come right after the
+    header; half of the files with such rows turn one of the first
+    ``_BLOCK_ROWS`` non-finite.
+    """
     width = draw(st.integers(1, 3))
     faulty = draw(st.booleans())
     cells = st.one_of(NUMBERS, FAULTS) if faulty else NUMBERS
@@ -44,8 +51,16 @@ def csv_files(draw):
         lines.append(draw(st.lists(cells, min_size=n, max_size=n)))
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from([[], ["  "]])))  # blank or whitespace-only
-    text = "".join(",".join(line) + draw(LINE_ENDS) for line in lines)
-    data = text.encode()
+    lines = [",".join(line) + draw(LINE_ENDS) for line in lines]
+    n = draw(lead)
+    if n:
+        row = draw(st.lists(NUMBERS, min_size=width, max_size=width))
+        lines[1:1] = [",".join(row) + "\n"] * n
+        if draw(st.booleans()):
+            at = draw(st.integers(1, min(n, _BLOCK_ROWS)))
+            bad = draw(st.sampled_from(["nan", "-inf", "1e999"]))
+            lines[at] = ",".join([*row[1:], bad]) + "\n"
+    data = "".join(lines).encode()
     if faulty and draw(st.integers(0, 5)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
@@ -87,6 +102,26 @@ class TestLoadCsv:
             path = Path(tmp) / "data.csv"
             path.write_bytes(data)
             assert _outcome(load_csv, path) == _outcome(_oracle_read, path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(csv_files(st.sampled_from([_BLOCK_ROWS + d for d in (-1, 0, 1, _BLOCK_ROWS)])))
+    def test_matches_the_list_based_reader_across_block_edges(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(data)
+            assert _outcome(load_csv, path) == _outcome(_oracle_read, path)
+
+    def test_names_the_fault_of_a_file_read_through_a_pipe(self):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(b"a,b\n1,2\n3,x\n")
+        path = f"/dev/fd/{read_end}"
+        try:
+            with pytest.raises(ValidationError) as exc:
+                load_csv(path)
+        finally:
+            os.close(read_end)
+        assert str(exc.value) == f"{path}: non-numeric cell at row 1, column 1: 'x'"
 
     def test_holds_under_three_times_its_values(self, tmp_path):
         # a list of string rows took about 14x
