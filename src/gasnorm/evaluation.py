@@ -15,7 +15,7 @@ from .filtering import Family
 from .fitting import FitConfig, fit_frame
 from .mlp import MlpSpec, predict, train
 from .normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
-from .series import SeriesFrame, SplitSpec, csv_line, load_csv, split, windows
+from .series import SeriesFrame, SplitSpec, as_columns, csv_line, load_csv, split, windows
 
 
 def mase(actual, forecast, train, m: int = 1) -> np.ndarray:
@@ -23,11 +23,11 @@ def mase(actual, forecast, train, m: int = 1) -> np.ndarray:
 
     Numerator: mean absolute forecast error. Denominator: in-sample mean
     absolute error of the m-step seasonal naive forecast on the training
-    segment only.
+    segment only. A 1-D array is one feature's series.
     """
-    actual = np.atleast_2d(np.asarray(actual, dtype=np.float64))
-    forecast = np.atleast_2d(np.asarray(forecast, dtype=np.float64))
-    train_v = np.atleast_2d(np.asarray(train, dtype=np.float64))
+    actual, forecast, train_v = map(as_columns, (actual, forecast, train))
+    if actual.ndim != 2:
+        raise ValidationError(f"actual must be 1-D or 2-D (time, feature), got ndim={actual.ndim}")
     if actual.shape != forecast.shape or train_v.shape[1:] != actual.shape[1:]:
         raise ValidationError(
             f"actual {actual.shape}, forecast {forecast.shape} and train {train_v.shape}"

@@ -16,8 +16,8 @@ entirely, which reduces the filter to a deterministic affine recursion
 The loop runs on Python floats (``GasParams`` fields, and ``ys`` read
 one at a time through a memoryview): numpy-scalar arithmetic gives the
 same IEEE-754 results at about twice the cost per step. It appends each
-output to an ``array("d")`` buffer, 8 bytes a value, which becomes an
-array without a copy at the end.
+prediction theta_{t|t-1} to an ``array("d")`` buffer, 8 bytes a value,
+which becomes an array without a copy at the end; theta_{t|t} is not kept.
 """
 
 from __future__ import annotations
@@ -81,15 +81,15 @@ class FilterTrace:
 
     ``mu_prior``/``sigma2_prior`` hold theta_{t|t-1}, the prediction
     available *before* observing y_t (what leak-free normalization
-    uses); ``mu_filt``/``sigma2_filt`` hold theta_{t|t}. ``loglik``
+    uses); ``mu_next``/``sigma2_next`` are theta_{T+1|T}. ``loglik``
     accumulates log p(y_t | theta_{t|t-1}) over the prediction-error
     decomposition, ``penalty`` the FIM-weighted squared update steps.
     """
 
     mu_prior: np.ndarray
     sigma2_prior: np.ndarray
-    mu_filt: np.ndarray
-    sigma2_filt: np.ndarray
+    mu_next: float
+    sigma2_next: float
     loglik: float
     penalty: float
 
@@ -110,10 +110,9 @@ def filter_series(params: GasParams, ys) -> FilterTrace:
     nu, omega_mu, beta_mu = params.nu, params.omega_mu, params.beta_mu
     omega_sigma, beta_sigma = params.omega_sigma, params.beta_sigma
     floor = VARIANCE_FLOOR
-    mu_prior, s2_prior, mu_filt, s2_filt = (array("d") for _ in range(4))
+    mu_prior, s2_prior = array("d"), array("d")
     # loop invariants, each grouped as in the step's formulas, so hoisting them changes no bit
     push_mu_prior, push_s2_prior = mu_prior.append, s2_prior.append
-    push_mu_filt, push_s2_filt = mu_filt.append, s2_filt.append
     log, log1p, isfinite = math.log, math.log1p, math.isfinite
     gaussian = params.family is Family.GAUSSIAN
     step_mu = params.gamma_ratio * params.alpha_mu
@@ -161,34 +160,30 @@ def filter_series(params: GasParams, ys) -> FilterTrace:
         penalty += fim_mu * d_mu * d_mu + fim_s2 * d_s2 * d_s2
         push_mu_prior(mu)
         push_s2_prior(s2)
-        push_mu_filt(m_f)
-        push_s2_filt(v_f)
         mu = omega_mu + beta_mu * m_f
         s2 = omega_sigma + beta_sigma * v_f
         if s2 < floor:
             s2 = floor
         if not (isfinite(mu) and isfinite(s2) and isfinite(loglik)):
             raise NumericalError(f"filter state became non-finite at timestep {t}")
-    arrays = [np.frombuffer(v) for v in (mu_prior, s2_prior, mu_filt, s2_filt)]
-    return FilterTrace(*arrays, loglik, penalty)
+    return FilterTrace(np.frombuffer(mu_prior), np.frombuffer(s2_prior), mu, s2, loglik, penalty)
 
 
 def forecast_statistics(
-    params: GasParams, mu_filt, sigma2_filt, horizon: int
+    params: GasParams, mu_next, sigma2_next, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """h-step iterate of theta <- omega + beta*theta from the last filtered values.
+    """``horizon`` predictions of (mu, sigma2), starting at the one given.
 
-    ``mu_filt`` and ``sigma2_filt`` are arrays of one shape S, one entry
-    per filter run. Returns (mu, sigma2), each of shape (*S, horizon);
-    step 0 is theta_{T+1|T}, the prediction made from the filtered value.
+    ``mu_next`` and ``sigma2_next`` are arrays of one shape S, one entry
+    per filter run, each a run's theta_{T+1|T}. Returns (mu, sigma2), each
+    of shape (*S, horizon): step 0 is the input, and each later step
+    applies theta <- omega + beta*theta. Every step's variance is floored.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    mu = np.asarray(mu_filt, dtype=np.float64)
-    s2 = np.asarray(sigma2_filt, dtype=np.float64)
-    out_mu, out_s2 = np.empty((*mu.shape, horizon)), np.empty((*s2.shape, horizon))
-    for j in range(horizon):
-        mu = params.omega_mu + params.beta_mu * mu
-        s2 = np.maximum(params.omega_sigma + params.beta_sigma * s2, VARIANCE_FLOOR)
-        out_mu[..., j], out_s2[..., j] = mu, s2
-    return out_mu, out_s2
+    mu = [np.asarray(mu_next, dtype=np.float64)]
+    s2 = [np.maximum(np.asarray(sigma2_next, dtype=np.float64), VARIANCE_FLOOR)]
+    for _ in range(1, horizon):
+        mu.append(params.omega_mu + params.beta_mu * mu[-1])
+        s2.append(np.maximum(params.omega_sigma + params.beta_sigma * s2[-1], VARIANCE_FLOOR))
+    return np.stack(mu, axis=-1), np.stack(s2, axis=-1)

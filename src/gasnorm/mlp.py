@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_at_least, check_fields
+from .series import as_columns
 
 
 class Activation(enum.Enum):
@@ -182,7 +183,7 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
 
 def predict(model: TrainedModel, context) -> np.ndarray:
     """Feedforward evaluation: an (L, k) window gives (h, k), a (W, L, k) stack (W, h, k)."""
-    ctx = np.atleast_2d(np.asarray(context, dtype=np.float64))
+    ctx = as_columns(context)
     single = ctx.shape == model.input_shape
     stack = ctx[None] if single else ctx
     if stack.shape[1:] != model.input_shape:

@@ -26,7 +26,7 @@ from .filtering import (
     filter_series,
     forecast_statistics,
 )
-from .series import SeriesFrame, csv_line, write_rows
+from .series import SeriesFrame, as_columns, csv_line, write_rows
 
 _MEAN_SCALE_EPS = 1e-12
 
@@ -100,9 +100,7 @@ class NormalizedBatch:
 
 def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]]:
     """The checks every normalizer shares: context, horizon and feature names."""
-    ctx = np.asarray(context, dtype=np.float64)
-    if ctx.ndim == 1:
-        ctx = ctx[:, None]
+    ctx = as_columns(context)
     if ctx.ndim < 2 or ctx.size == 0:
         raise ValidationError("context must be a non-empty (..., time, feature) array")
     if not np.all(np.isfinite(ctx)):
@@ -128,9 +126,9 @@ def _gas_statistics(params: dict[str, GasParams], ctx: np.ndarray, horizon: int,
     """Per-step context and horizon (mu, scale) of each feature's filter over each window.
 
     Each observation is normalized with the prediction made before it
-    was seen; horizon statistics continue the filter's affine forecast
-    recursion past the end of the window. Every window restarts the
-    filter from the fitted initial state.
+    was seen; the horizon starts at the prediction after the window's
+    last step. Every window restarts the filter from the fitted initial
+    state.
     """
     missing = [n for n in names if n not in params]
     if missing:
@@ -138,15 +136,15 @@ def _gas_statistics(params: dict[str, GasParams], ctx: np.ndarray, horizon: int,
     c_mu, c_s2 = np.empty(ctx.shape), np.empty(ctx.shape)
     h_shape = (*ctx.shape[:-2], horizon, ctx.shape[-1])
     h_mu, h_s2 = np.empty(h_shape), np.empty(h_shape)
-    # the last filtered (mu, sigma2) of every window, for one feature at a time
-    last_mu, last_s2 = np.empty(ctx.shape[:-2]), np.empty(ctx.shape[:-2])
+    # the prediction after each window's last step, for one feature at a time
+    next_mu, next_s2 = np.empty(ctx.shape[:-2]), np.empty(ctx.shape[:-2])
     for j, name in enumerate(names):
         for window in np.ndindex(ctx.shape[:-2]):
             at = (*window, slice(None), j)
             trace = filter_series(params[name], ctx[at])
             c_mu[at], c_s2[at] = trace.mu_prior, trace.sigma2_prior
-            last_mu[window], last_s2[window] = trace.mu_filt[-1], trace.sigma2_filt[-1]
-        h_mu[..., j], h_s2[..., j] = forecast_statistics(params[name], last_mu, last_s2, horizon)
+            next_mu[window], next_s2[window] = trace.mu_next, trace.sigma2_next
+        h_mu[..., j], h_s2[..., j] = forecast_statistics(params[name], next_mu, next_s2, horizon)
     return c_mu, _std(c_s2), h_mu, _std(h_s2)
 
 

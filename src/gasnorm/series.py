@@ -18,6 +18,12 @@ from .errors import ValidationError, check_fields
 _BLOCK_ROWS = 1024  # rows per block read from or written to a CSV file
 
 
+def as_columns(values) -> np.ndarray:
+    """``values`` as a float64 array, a 1-D array read as one feature's (T, 1) series."""
+    values = np.asarray(values, dtype=np.float64)
+    return values[:, None] if values.ndim == 1 else values
+
+
 @dataclass(frozen=True)
 class SeriesFrame:
     """Immutable multivariate series indexed (time, feature).
@@ -29,9 +35,7 @@ class SeriesFrame:
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
+        values = as_columns(self.values)
         if values.ndim != 2:
             raise ValidationError(f"values must be 2-D (time, feature), got ndim={values.ndim}")
         if not np.all(np.isfinite(values)):

@@ -73,8 +73,8 @@ def test_heavy_tail_filter_approaches_gaussian_at_huge_dof():
     diff = max(
         np.max(np.abs(tr_g.mu_prior - tr_t.mu_prior)),
         np.max(np.abs(tr_g.sigma2_prior - tr_t.sigma2_prior)),
-        np.max(np.abs(tr_g.mu_filt - tr_t.mu_filt)),
-        np.max(np.abs(tr_g.sigma2_filt - tr_t.sigma2_filt)),
+        abs(tr_g.mu_next - tr_t.mu_next),
+        abs(tr_g.sigma2_next - tr_t.sigma2_next),
     )
     assert diff < 1e-3
 
@@ -262,10 +262,12 @@ def test_heavy_tails_shrink_the_outlier_response():
             beta_mu=0.95, beta_sigma=0.95, omega_mu=0.0, omega_sigma=0.01,
             gamma=rng.uniform(0.05, 0.95), mu0=mu, sigma2_0=sigma2,
         )
-        # one step from the prior (mu, sigma2) set as mu0 and sigma2_0
+        # one step from the prior (mu, sigma2) set as mu0 and sigma2_0; each next
+        # prediction differs from the gamma = 0 one, omega + beta * mu, by beta times the update
         g = filter_series(GasParams(family=Family.GAUSSIAN, nu=100.0, **common), [y])
         t = filter_series(GasParams(family=Family.STUDENT_T, nu=20.0, **common), [y])
-        assert abs(t.mu_filt[0] - mu) < abs(g.mu_filt[0] - mu)
+        no_update = 0.0 + 0.95 * mu
+        assert abs(t.mu_next - no_update) < abs(g.mu_next - no_update)
 
 
 def test_tracking_error_shrinks_with_normalization_strength():
@@ -304,8 +306,10 @@ def test_filter_matches_independent_recursion():
         prior, filt, loglik, penalty = naive_filter(ys, family, **kwargs)
         np.testing.assert_allclose(trace.mu_prior, prior[:, 0], atol=1e-12)
         np.testing.assert_allclose(trace.sigma2_prior, prior[:, 1], atol=1e-12)
-        np.testing.assert_allclose(trace.mu_filt, filt[:, 0], atol=1e-12)
-        np.testing.assert_allclose(trace.sigma2_filt, filt[:, 1], atol=1e-12)
+        mu_next = kwargs["omega_mu"] + kwargs["beta_mu"] * filt[-1, 0]
+        sigma2_next = max(kwargs["omega_sigma"] + kwargs["beta_sigma"] * filt[-1, 1], 1e-8)
+        assert trace.mu_next == pytest.approx(mu_next, abs=1e-12)
+        assert trace.sigma2_next == pytest.approx(sigma2_next, abs=1e-12)
         assert trace.loglik == pytest.approx(loglik, abs=1e-10)
         assert trace.penalty == pytest.approx(penalty, abs=1e-10)
 

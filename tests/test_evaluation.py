@@ -38,6 +38,12 @@ class TestMase:
         out = mase([[4.0], [5.0]], [[3.0], [3.0]], [[1.0], [2.0], [3.0]], m=1)
         assert out[0] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("train", [[1.0, 2.0, 3.0], [1.0, 2.0]])
+    def test_one_dimensional_arrays_are_one_feature(self, train):
+        out = mase([4.0, 5.0], [3.0, 3.0], train)
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(1.5)
+
     def test_naive_on_train_is_one(self):
         train = np.random.default_rng(1).normal(size=(50, 1)).cumsum(axis=0)
         actual = train[1:]

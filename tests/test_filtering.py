@@ -80,24 +80,29 @@ class TestUpdate:
     def test_gaussian_mean_hand_case(self):
         p = gaussian_params(beta_mu=0.99, omega_mu=0.0)
         # gamma/(1-gamma) = 1 at gamma = 0.5, scaled mean score is y - mu
+        # the update moves mu to 0.2, and the prediction step scales it by beta
         trace = filter_series(p, [2.0])
-        assert trace.mu_filt[0] == pytest.approx(0.2, abs=1e-15)
+        assert trace.mu_next == pytest.approx(0.99 * 0.2, abs=1e-15)
 
     def test_gaussian_variance_hand_case(self):
+        # the update moves sigma2 to 1 + 0.1 * (4 - 1), then omega + beta * that
         trace = filter_series(gaussian_params(), [2.0])
-        assert trace.sigma2_filt[0] == pytest.approx(1.0 + 0.1 * (4.0 - 1.0), abs=1e-15)
+        assert trace.sigma2_next == pytest.approx(0.1 + 0.9 * (1.0 + 0.1 * (4.0 - 1.0)), abs=1e-15)
 
     def test_gamma_zero_keeps_prediction(self):
         p = gaussian_params(gamma=0.0)
+        # no update: the next prediction is the affine step from the initial state
         trace = filter_series(p, [123.4])
-        assert trace.mu_filt[0] == p.mu0
-        assert trace.sigma2_filt[0] == p.sigma2_0
+        assert trace.mu_next == p.omega_mu + p.beta_mu * p.mu0
+        assert trace.sigma2_next == p.omega_sigma + p.beta_sigma * p.sigma2_0
 
     def test_prediction_step_applied(self):
         p = gaussian_params(beta_mu=0.5, omega_mu=1.0)
-        # the second step's prior is the prediction made from the first filtered value
+        # the second step's prior is the prediction made from the first updated value, 0.2
         trace = filter_series(p, [2.0, 0.0])
-        assert trace.mu_prior[1] == pytest.approx(1.0 + 0.5 * trace.mu_filt[0])
+        assert trace.mu_prior[1] == pytest.approx(1.0 + 0.5 * 0.2)
+        # and it is the next prediction of the one-step series
+        assert filter_series(p, [2.0]).mu_next == trace.mu_prior[1]
 
     def test_non_finite_observation(self):
         with pytest.raises(ValidationError):
@@ -125,7 +130,8 @@ class TestFilterSeries:
             p.nu, 0.5, 0.0, 1.0,
         )
         np.testing.assert_allclose(trace.mu_prior, prior[:, 0], atol=1e-13)
-        np.testing.assert_allclose(trace.sigma2_filt, filt[:, 1], atol=1e-13)
+        assert trace.mu_next == pytest.approx(0.0 + 0.9 * filt[-1, 0], abs=1e-13)
+        assert trace.sigma2_next == pytest.approx(max(0.1 + 0.9 * filt[-1, 1], 1e-8), abs=1e-13)
         assert trace.loglik == pytest.approx(loglik, abs=1e-11)
         assert trace.penalty == pytest.approx(penalty, abs=1e-11)
 
@@ -152,8 +158,10 @@ class TestFilterSeries:
             )
             np.testing.assert_allclose(trace.mu_prior, prior[:, 0], atol=1e-12)
             np.testing.assert_allclose(trace.sigma2_prior, prior[:, 1], atol=1e-12)
-            np.testing.assert_allclose(trace.mu_filt, filt[:, 0], atol=1e-12)
-            np.testing.assert_allclose(trace.sigma2_filt, filt[:, 1], atol=1e-12)
+            mu_next = kw["omega_mu"] + kw["beta_mu"] * filt[-1, 0]
+            sigma2_next = max(kw["omega_sigma"] + kw["beta_sigma"] * filt[-1, 1], 1e-8)
+            assert trace.mu_next == pytest.approx(mu_next, abs=1e-12)
+            assert trace.sigma2_next == pytest.approx(sigma2_next, abs=1e-12)
             assert trace.loglik == pytest.approx(loglik, abs=1e-10)
 
     @given(
@@ -178,7 +186,7 @@ class TestFilterSeries:
         as_numpy = {k: np.float64(v) for k, v in kw.items()}
         from_numpy = filter_series(GasParams(family=family, **as_numpy), np.array(ys))
         def bits(trace):
-            values = (trace.mu_prior, trace.sigma2_prior, trace.mu_filt, trace.sigma2_filt,
+            values = (trace.mu_prior, trace.sigma2_prior, trace.mu_next, trace.sigma2_next,
                       trace.loglik, trace.penalty)
             return [np.asarray(v).tobytes() for v in values]
 
@@ -188,8 +196,10 @@ class TestFilterSeries:
         )
         np.testing.assert_allclose(plain.mu_prior, prior[:, 0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(plain.sigma2_prior, prior[:, 1], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(plain.mu_filt, filt[:, 0], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(plain.sigma2_filt, filt[:, 1], rtol=1e-10, atol=1e-12)
+        mu_next = 0.1 + beta * filt[-1, 0]
+        sigma2_next = max(0.2 + beta * filt[-1, 1], 1e-8)
+        assert plain.mu_next == pytest.approx(mu_next, rel=1e-10, abs=1e-12)
+        assert plain.sigma2_next == pytest.approx(sigma2_next, rel=1e-10, abs=1e-12)
         assert plain.loglik == pytest.approx(loglik, rel=1e-10, abs=1e-9)
         assert plain.penalty == pytest.approx(penalty, rel=1e-10, abs=1e-9)
 
@@ -200,8 +210,8 @@ class TestFilterSeries:
                   beta_sigma=0.95, omega_mu=0.0, omega_sigma=0.3, mu0=0.0, sigma2_0=1.0)
         t_trace = filter_series(GasParams(family=Family.STUDENT_T, nu=1e6, **kw), ys)
         g_trace = filter_series(GasParams(family=Family.GAUSSIAN, **kw), ys)
-        assert np.max(np.abs(t_trace.mu_filt - g_trace.mu_filt)) < 1e-3
-        assert np.max(np.abs(t_trace.sigma2_filt - g_trace.sigma2_filt)) < 1e-3
+        assert abs(t_trace.mu_next - g_trace.mu_next) < 1e-3
+        assert abs(t_trace.sigma2_next - g_trace.sigma2_next) < 1e-3
 
     def test_gamma_zero_is_observation_free(self):
         p = gaussian_params(gamma=0.0, beta_mu=0.8, omega_mu=0.5)
@@ -221,20 +231,20 @@ class TestFilterSeries:
             p = gaussian_params(alpha_sigma=1.9, omega_sigma=0.0, beta_sigma=0.0,
                                 sigma2_0=sigma2_0)
             trace = filter_series(p, np.zeros(200))
-            assert np.all(trace.sigma2_filt >= VARIANCE_FLOOR)
+            assert trace.sigma2_next >= VARIANCE_FLOOR
             assert np.all(trace.sigma2_prior >= VARIANCE_FLOOR)
         # an initial variance below the floor starts the filter at the floor
         assert trace.sigma2_prior[0] == VARIANCE_FLOOR
 
-    # float.hex of loglik, penalty, and the last mu_filt and sigma2_filt: any change
-    # to the step's arithmetic, or to how its expressions are grouped, shows here
+    # float.hex of loglik, penalty, mu_next and sigma2_next: any change to the
+    # step's arithmetic, or to how its expressions are grouped, shows here
     @pytest.mark.parametrize(
         "family, expected",
         [
             (Family.GAUSSIAN, ("-0x1.6afac31aab123p+8", "0x1.a333260a89245p+5",
-                               "-0x1.68d49db6592d0p+2", "0x1.28189c6cb9ebep-2")),
+                               "-0x1.5cb9c1f0e0bd9p+2", "0x1.70e2f32ea7544p-2")),
             (Family.STUDENT_T, ("-0x1.9efa52b973065p+8", "0x1.0634f0480ddcbp+5",
-                                "-0x1.68cce9b051c44p+2", "0x1.31c790a4a9168p-2")),
+                                "-0x1.5cb24913fd64dp+2", "0x1.799a022dcb612p-2")),
         ],
     )
     def test_pinned_bits(self, family, expected):
@@ -243,7 +253,7 @@ class TestFilterSeries:
                       beta_sigma=0.9, omega_mu=0.02, omega_sigma=0.1, nu=6.0, gamma=0.7,
                       mu0=0.5, sigma2_0=2.0)
         trace = filter_series(p, ys)
-        got = (trace.loglik, trace.penalty, trace.mu_filt[-1], trace.sigma2_filt[-1])
+        got = (trace.loglik, trace.penalty, trace.mu_next, trace.sigma2_next)
         assert tuple(float(v).hex() for v in got) == expected
 
     def test_empty_series_errors(self):
@@ -255,8 +265,7 @@ class TestFilterSeries:
         # a list of boxed floats per output took about 5x
         ys = np.cumsum(np.random.default_rng(19).normal(size=20_000)) * 0.1
         trace, peak = traced_peak(filter_series, GasParams(family=family, gamma=0.5), ys)
-        outputs = (trace.mu_prior, trace.sigma2_prior, trace.mu_filt, trace.sigma2_filt)
-        assert peak < 3 * sum(a.nbytes for a in outputs)
+        assert peak < 3 * (trace.mu_prior.nbytes + trace.sigma2_prior.nbytes)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_state_blow_up_names_its_timestep(self, family):
@@ -269,12 +278,19 @@ class TestForecastStatistics:
     def test_beta_zero_collapses_to_omega(self):
         p = gaussian_params(beta_mu=0.0, omega_mu=3.0)
         mu, _ = forecast_statistics(p, p.mu0, p.sigma2_0, 5)
-        np.testing.assert_allclose(mu, 3.0)
+        # step 0 is the prediction given, every later step omega
+        assert mu[0] == p.mu0
+        np.testing.assert_allclose(mu[1:], 3.0)
 
     def test_hand_iteration(self):
         p = gaussian_params(beta_mu=0.5, omega_mu=0.0)
-        mu, _ = forecast_statistics(p, 4.0, 1.0, 3)
-        np.testing.assert_allclose(mu, [2.0, 1.0, 0.5])
+        mu, sigma2 = forecast_statistics(p, 4.0, 1.0, 3)
+        assert (mu[0], sigma2[0]) == (4.0, 1.0)
+        np.testing.assert_allclose(mu, [4.0, 2.0, 1.0])
+
+    def test_step_zero_variance_is_floored(self):
+        _, sigma2 = forecast_statistics(gaussian_params(), 0.0, 1e-12, 2)
+        assert sigma2[0] == VARIANCE_FLOOR
 
     def test_fixed_point_convergence(self):
         p = gaussian_params(beta_mu=0.7, omega_mu=0.6, beta_sigma=0.5, omega_sigma=1.0)
@@ -290,11 +306,11 @@ class TestForecastStatistics:
     def test_stack_equals_one_call_per_entry(self):
         p = gaussian_params(beta_mu=0.8, omega_mu=0.3, beta_sigma=0.6, omega_sigma=-0.5)
         rng = np.random.default_rng(3)
-        mu_filt, s2_filt = rng.normal(size=(2, 3)), rng.uniform(0.01, 2.0, size=(2, 3))
-        mu, sigma2 = forecast_statistics(p, mu_filt, s2_filt, 4)
+        mu_next, s2_next = rng.normal(size=(2, 3)), rng.uniform(0.01, 2.0, size=(2, 3))
+        mu, sigma2 = forecast_statistics(p, mu_next, s2_next, 4)
         assert mu.shape == sigma2.shape == (2, 3, 4)
         for i in np.ndindex(2, 3):
-            one_mu, one_s2 = forecast_statistics(p, float(mu_filt[i]), float(s2_filt[i]), 4)
+            one_mu, one_s2 = forecast_statistics(p, float(mu_next[i]), float(s2_next[i]), 4)
             assert mu[i].tobytes() == one_mu.tobytes()
             assert sigma2[i].tobytes() == one_s2.tobytes()
         # a negative omega_sigma drives the variance to the floor

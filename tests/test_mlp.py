@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -128,6 +129,15 @@ class TestPredict:
         model = train(MlpSpec((4,), epochs=1, seed=0), *linear_pairs(n=10))
         with pytest.raises(ValidationError):
             predict(model, np.ones((2, 2)))
+
+    def test_one_dimensional_context_is_one_feature(self):
+        x = np.random.default_rng(0).normal(size=(8, 28, 1))
+        model = train(MlpSpec((4,), epochs=2), x[:, :20], x[:, 20:])
+        ctx = np.random.default_rng(1).normal(size=20)
+        assert np.array_equal(predict(model, ctx), predict(model, ctx[:, None]))
+        for ctx in (np.zeros(()), np.zeros((1, 1, 20, 1))):
+            with pytest.raises(ValidationError, match=re.escape(f"context shape {ctx.shape} ")):
+                predict(model, ctx)
 
 
 def test_stacked_predict_equals_each_window_bit_for_bit():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _helpers import frames
 from _oracles import naive_filter, save_batch_csvs_per_value
@@ -96,6 +97,35 @@ class TestGasNormalize:
                 s2 = max(0.1 + 0.85 * s2, 1e-8)
                 assert batch.horizon_mu[w, j, 0] == pytest.approx(mu, abs=1e-12)
                 assert batch.horizon_scale[w, j, 0] == pytest.approx(np.sqrt(s2), abs=1e-12)
+
+    @given(
+        data=st.data(),
+        family=st.sampled_from(list(Family)),
+        gamma=st.floats(0.0, 0.9),
+        stack=st.sampled_from([(), (3,), (2, 2)]),
+        length=st.integers(1, 12),
+        horizon=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_horizon_starts_at_the_next_context_statistic(
+        self, data, family, gamma, stack, length, horizon
+    ):
+        # horizon step 0 of a window is, bit for bit, what the context path gives the
+        # step after it, for a single window and for stacks of them
+        ys = data.draw(
+            hnp.arrays(np.float64, (*stack, length + 1, 2), elements=st.floats(-20.0, 20.0))
+        )
+        params = {
+            f"f{j}": GasParams(family=family, nu=5.0, gamma=gamma, alpha_mu=0.3,
+                               alpha_sigma=0.2, beta_mu=0.9, beta_sigma=0.8, omega_mu=0.1,
+                               omega_sigma=0.05, mu0=0.5 * j, sigma2_0=1.0 + j)
+            for j in range(2)
+        }
+        head = normalize(gas_spec(params), ys[..., :length, :], horizon)
+        full = normalize(gas_spec(params), ys, 1)
+        assert head.horizon_mu[..., 0, :].tobytes() == full.context_mu[..., length, :].tobytes()
+        assert (head.horizon_scale[..., 0, :].tobytes()
+                == full.context_scale[..., length, :].tobytes())
 
     def test_missing_params_errors(self):
         with pytest.raises(ValidationError, match="f1"):

@@ -46,6 +46,10 @@ CASES = {
         "actual (2, 2), forecast (2, 2) and train (5, 1) must agree in shape,"
         " except in the train's length",
     ),
+    "mase_ndim": (
+        lambda: mase(np.ones((2, 1, 1)), np.ones((2, 1, 1)), np.ones((5, 1, 1))),
+        "actual must be 1-D or 2-D (time, feature), got ndim=3",
+    ),
     "experiment_gammas": (lambda: experiment(gammas=(0.5, 1.0)), "gammas must lie in [0, 1)"),
     "experiment_dataset": (
         lambda: experiment(dataset=3),
