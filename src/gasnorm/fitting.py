@@ -8,24 +8,21 @@ multi-start, which copes with the non-smoothness near the stability
 boundary without needing gradients. The restarts are independent and
 run in parallel worker processes.
 
-scipy is imported by ``fit`` alone, so a command that never fits does not
-load it.
+The simplex search is this module's own transcription of scipy's, so the
+package needs no scipy at run time; the tests hold it to scipy's results
+bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FitError, ValidationError, check_at_least, check_fields
 from .filtering import VARIANCE_FLOOR, Family, GasParams, filter_series
 from .series import SeriesFrame
-
-if TYPE_CHECKING:
-    from scipy.optimize import OptimizeResult
 
 
 @dataclass(frozen=True)
@@ -43,6 +40,8 @@ class FitConfig:
         if not 0.0 <= self.gamma < 1.0:
             raise ValidationError("gamma must lie in [0, 1)")
         check_at_least(self, seed=0, restarts=1, max_iters=1)
+        if self.fit_nu and self.family is Family.GAUSSIAN:
+            raise ValidationError("fit_nu needs the student_t family: a gaussian fit has no nu")
 
 
 @dataclass(frozen=True)
@@ -113,27 +112,86 @@ def _negative(x: np.ndarray, template: GasParams, fit_nu: bool, ys: np.ndarray) 
         return np.inf
 
 
-def _nelder_mead(task) -> OptimizeResult:
-    """One bounded Nelder-Mead run; module-level so that a worker process can run it."""
-    from scipy.optimize import Bounds, minimize  # loaded by ``fit`` before the workers fork
+def _nelder_mead(func, x0, lo, hi, max_iters: int, args: tuple):
+    """Minimize ``func(x, *args)`` over the box [lo, hi] from ``x0``: (x, fun, nit, nfev, success).
 
-    start, lo, hi, max_iters, args = task
-    return minimize(
-        _negative,
-        start,
-        args=args,
-        method="Nelder-Mead",
-        bounds=Bounds(lo, hi),
-        options={"maxiter": max_iters, "xatol": 1e-6, "fatol": 1e-8},
-    )
+    The same search, bit for bit, as ``scipy.optimize.minimize(func, x0, args,
+    method="Nelder-Mead", bounds=Bounds(lo, hi), options={"maxiter": max_iters,
+    "xatol": 1e-6, "fatol": 1e-8})``, except that ``func`` gets a view of the simplex, not
+    a copy, so it must not modify ``x``. Module-level so that a worker process can run it.
+    """
+    # Transcribed from scipy 1.17.1, scipy/optimize/_optimize.py, _minimize_neldermead:
+    # the non-adaptive, bounded path without maxfev. Copyright (c) 2001-2002 Enthought,
+    # Inc. 2003, SciPy Developers; BSD-3-Clause.
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol, fatol = 1e-6, 1e-8
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return func(x, *args)
+
+    x0 = np.clip(x0, lo, hi)
+    N = len(x0)
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
+    # a start near an upper bound may step past it: reflect into the box, then clip
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+
+    fsim = np.full((N + 1,), np.inf)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    # sorted twice, as scipy does: argsort makes no promise about the order of ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < max_iters:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), iterations, nfev, iterations < max_iters
 
 
-def _run_restarts(tasks: list) -> list[OptimizeResult]:
-    """Results of ``_nelder_mead`` for every task, in task order.
+def _run_restarts(tasks: list[tuple]) -> list[tuple]:
+    """``_nelder_mead(*task)`` for every task, in task order.
 
     The tasks run in forked worker processes, one per usable core and at
     most one per task; a spawned or forkserver worker would re-import numpy
-    and scipy, which costs about as much as one restart. With one worker,
+    and gasnorm, which costs more than half of one restart. With one worker,
     or where fork is unavailable, they run in this process.
     """
     import multiprocessing
@@ -143,9 +201,9 @@ def _run_restarts(tasks: list) -> list[OptimizeResult]:
     if "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity"):
         workers = min(len(tasks), len(os.sched_getaffinity(0)))
     if workers == 1:
-        return list(map(_nelder_mead, tasks))
+        return list(map(_nelder_mead, *zip(*tasks)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_nelder_mead, tasks))
+        return list(pool.map(_nelder_mead, *zip(*tasks)))
 
 
 def fit(ys, config: FitConfig) -> FitResult:
@@ -167,7 +225,7 @@ def fit(ys, config: FitConfig) -> FitResult:
         raise ValidationError(f"training variance must be finite, got {var}")
     var = max(var, VARIANCE_FLOOR)
 
-    fit_nu = config.fit_nu and config.family is Family.STUDENT_T
+    fit_nu = config.fit_nu
     names = _PARAM_ORDER + ("nu",) if fit_nu else _PARAM_ORDER
     bounds = _default_bounds(mean, var)
     lo = np.array([bounds[n][0] for n in names])
@@ -190,20 +248,17 @@ def fit(ys, config: FitConfig) -> FitResult:
         factors = rng.uniform(0.5, 1.5, size=x0.shape)
         starts.append(np.clip(x0 * factors, lo, hi))
 
-    # here, not in the workers: a forked worker inherits the module instead of importing it
-    import scipy.optimize  # noqa: F401
-
     args = (template, fit_nu, ys)
-    results = _run_restarts([(start, lo, hi, config.max_iters, args) for start in starts])
+    results = _run_restarts([(_negative, s, lo, hi, config.max_iters, args) for s in starts])
 
     # the initial point was not reached by an optimizer, so it has not converged
     best = (init_objective, x0, 0, False)
-    for res in results:
-        if np.isfinite(res.fun) and -res.fun > best[0]:
-            best = (-res.fun, res.x, int(res.nit), bool(res.success))
+    for x, fun, nit, _, success in results:
+        if np.isfinite(fun) and -fun > best[0]:
+            best = (-fun, x, nit, success)
 
     objective, x, iterations, converged = best
-    evaluations = 1 + sum(int(res.nfev) for res in results)
+    evaluations = 1 + sum(nfev for _, _, _, nfev, _ in results)
     return FitResult(
         _to_params(x, template, fit_nu), objective, iterations, converged, evaluations
     )

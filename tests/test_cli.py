@@ -668,6 +668,15 @@ class TestInvalidInputExitsOne:
         assert "seed must be" in err
         assert not out_dir.exists()
 
+    def test_fit_nu_with_the_gaussian_family(self, tmp_path, small_csv, capsys):
+        # a gaussian filter has no nu to fit, so the flag is refused, not ignored
+        out_dir = tmp_path / "out"
+        code, _, err = run(["fit", small_csv, "--dist", "gaussian", "--fit-nu",
+                            "--output-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert err == "error: fit_nu needs the student_t family: a gaussian fit has no nu\n"
+        assert not out_dir.exists()
+
     def test_split_value_of_wrong_type(self, tmp_path, capsys):
         doc = TestExperiment().config_doc()
         doc["split"]["context_length"] = "20"

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import Bounds, minimize
 
 import gasnorm.fitting as fitting_mod
 from _helpers import fresh_interpreter
@@ -23,7 +26,14 @@ from gasnorm import (
     penalized_objective,
 )
 from gasnorm.errors import FitError, NumericalError, ValidationError, from_keys, to_json
-from gasnorm.fitting import _PARAM_ORDER, FitResult, _default_bounds, _initial_params, _negative
+from gasnorm.fitting import (
+    _PARAM_ORDER,
+    FitResult,
+    _default_bounds,
+    _initial_params,
+    _negative,
+    _nelder_mead,
+)
 
 
 def iid_normal(n=200, seed=0):
@@ -207,30 +217,92 @@ class TestFit:
         result = fit(ys, FitConfig(gamma=gamma, restarts=1, max_iters=50))
         assert np.isfinite(result.objective)
 
-    def test_the_optimizer_is_loaded_before_the_restarts_fork(self):
-        # a fresh interpreter: this one loaded scipy.optimize with scipy.stats
+    def test_no_fit_loads_scipy(self):
+        # a fresh interpreter: this one loaded scipy for the test oracles
         out = fresh_interpreter(
             """
-            import sys
+            import os, sys
             import numpy as np
-            import gasnorm.fitting as fitting
-            from gasnorm import Family, FitConfig
+            from gasnorm import (ArSpec, ExperimentSpec, Family, FitConfig, MlpSpec, SplitSpec,
+                                 fit, run_experiment)
 
-            run_restarts = fitting._run_restarts
-            loaded = []
-
-            def wrapper(tasks):
-                loaded.append("scipy.optimize" in sys.modules)
-                return run_restarts(tasks)
-
-            fitting._run_restarts = wrapper
-            before = "scipy.optimize" in sys.modules
             ys = np.random.default_rng(0).normal(size=60)
-            fitting.fit(ys, FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=1, max_iters=20))
-            print(before, loaded)
+            fit(ys, FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=2, max_iters=20))
+            # with two usable cores the restarts ran in the process pool
+            pooled = "concurrent.futures.process" in sys.modules
+            print(pooled or len(os.sched_getaffinity(0)) < 2)
+            spec = ExperimentSpec(
+                dataset=ArSpec(length=120, seed=0),
+                normalizers=("gas_norm",),
+                forecaster=MlpSpec((4,), epochs=1),
+                split=SplitSpec(0.6, 0.2, context_length=10, horizon=2),
+                gammas=(0.5,),
+                fit_max_iters=20,
+            )
+            assert run_experiment(spec).rows[0].error is None
+            print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
             """
         )
-        assert out.split() == ["False", "[True]"]
+        assert out.split("\n") == ["True", "[]", ""]
+
+    def test_fitting_nu_needs_the_student_t_family(self):
+        with pytest.raises(ValidationError, match="fit_nu needs the student_t family"):
+            FitConfig(family="gaussian", fit_nu=True)
+
+
+def _scipy_nelder_mead(func, x0, lo, hi, max_iters, args):
+    """``_nelder_mead``'s contract, run by scipy: the oracle it is held to."""
+    res = minimize(func, x0, args=args, method="Nelder-Mead", bounds=Bounds(lo, hi),
+                   options={"maxiter": max_iters, "xatol": 1e-6, "fatol": 1e-8})
+    return res.x, res.fun, res.nit, res.nfev, res.success
+
+
+def _test_objective(x, center, scale, cut, plateau):
+    """A scaled quadratic bowl, rounded into plateaus (ties) if ``plateau``; inf past ``cut``."""
+    if x.sum() > cut:
+        return np.inf
+    value = float(np.sum(scale * (x - center) ** 2))
+    return round(value, 1) if plateau else value
+
+
+@st.composite
+def _boxed_problems(draw):
+    n = draw(st.integers(1, 7))  # 7: the six filter parameters and nu
+    coords = st.floats(-10.0, 10.0, allow_subnormal=False)
+    lo = np.array(draw(st.lists(st.one_of(st.just(0.0), coords), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    hi = lo + width
+    # 0 and 1 put a coordinate on its lower or upper bound; the upper bound reflects
+    at = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                min_size=n, max_size=n)))
+    x0 = np.where(at == 1.0, hi, lo + at * width)
+    center = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    scale = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    # a cut below the box makes the whole box inf
+    cut = draw(st.one_of(st.just(np.inf), st.floats(-70.0, 140.0)))
+    args = (center, scale, cut, draw(st.booleans()))
+    return x0, lo, hi, draw(st.integers(1, 150)), args
+
+
+class TestNelderMead:
+    @given(problem=_boxed_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, problem):
+        x0, lo, hi, max_iters, args = problem
+        with np.errstate(invalid="ignore"):  # inf - inf in the fatol test, on both sides
+            ours = _nelder_mead(_test_objective, x0, lo, hi, max_iters, args)
+            theirs = _scipy_nelder_mead(_test_objective, x0, lo, hi, max_iters, args)
+        assert np.array_equal(ours[0], theirs[0])
+        assert ours[1:] == theirs[1:]
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+    def test_the_reference_fit_is_scipys(self, monkeypatch, gamma):
+        # README's experiment: the first 540 steps train, 2 restarts of at most 300 iterations
+        ys = gen_ar(ArSpec(length=900, ar_coeffs=(0.7,), trend_slope=0.05, seed=0)).values
+        config = FitConfig(gamma=gamma, restarts=2, max_iters=300)
+        ours = fit(ys[:540, 0], config)
+        monkeypatch.setattr(fitting_mod, "_nelder_mead", _scipy_nelder_mead)
+        assert fit(ys[:540, 0], config) == ours
 
 
 class TestFitFrame:
