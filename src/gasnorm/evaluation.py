@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise ValidationError(f"seeds must be non-empty and non-negative, got {self.seeds}")
         if any(not 0.0 <= g < 1.0 for g in self.gammas):
             raise ValidationError("gammas must lie in [0, 1)")
+        if self.family is Family.STUDENT_T and not self.nu > 2:
+            raise ValidationError(f"nu must exceed 2 for the student_t family, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,15 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     ``gas_norm_selected`` row reports the test MASE at each seed's
     selection. A failed fit, normalization or training is its cell's
     ``error``; the other cells still report. Rows come in config order,
-    cells with scores first, then ``gas_norm_selected``.
+    cells with scores first, then ``gas_norm_selected``. A
+    ``mase_seasonality`` that is not below the training length would fail
+    every cell, so it raises before any fit runs.
     """
     data, dataset_id = load_dataset(spec.dataset)
     train_f, val_f, test_f = split(data, spec.split)
+    if spec.mase_seasonality >= len(train_f):
+        raise ValidationError(f"mase_seasonality {spec.mase_seasonality} must be below"
+                              f" the training length {len(train_f)}")
     l, h = spec.split.context_length, spec.split.horizon
     segments = (
         windows(train_f, l, h, spec.stride),

@@ -99,6 +99,27 @@ def _forward(weights, biases, activation: Activation, x: np.ndarray):
     return acts, pre
 
 
+def _output(weights, biases, activation: Activation, x: np.ndarray) -> np.ndarray:
+    """The network's output alone, with ``_forward``'s float operations in its order.
+
+    Each layer's input is dropped once the next layer is computed, and the
+    bias and ReLU are applied in place, so at most two layers are held.
+    """
+    h = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w
+        h += b
+        if i < last and activation is Activation.RELU:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _loss(weights, biases, activation: Activation, x: np.ndarray, targets: np.ndarray) -> float:
+    """MSE over all entries of the network's outputs for the rows ``x``."""
+    return float(np.mean((_output(weights, biases, activation, x) - targets) ** 2))
+
+
 def _backward(weights, activation, acts, pre, targets):
     """MSE gradients for every weight and bias; loss averages all entries."""
     n = targets.size
@@ -158,14 +179,12 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
                 for i in range(len(weights)):
                     weights[i] -= spec.learning_rate * grads_w[i]
                     biases[i] -= spec.learning_rate * grads_b[i]
-            acts, _ = _forward(weights, biases, spec.activation, X)
-            loss = float(np.mean((acts[-1] - Y) ** 2))
+            loss = _loss(weights, biases, spec.activation, X, Y)
             if not np.isfinite(loss):
                 raise NumericalError(f"training loss became non-finite at epoch {epoch}")
             losses.append(loss)
             if Xv is not None:
-                acts_v, _ = _forward(weights, biases, spec.activation, Xv)
-                val_loss = float(np.mean((acts_v[-1] - Yv) ** 2))
+                val_loss = _loss(weights, biases, spec.activation, Xv, Yv)
                 if val_loss < best_val:
                     best_val = val_loss
                     best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
@@ -194,6 +213,6 @@ def predict(model: TrainedModel, context) -> np.ndarray:
     # gemm, whose sums differ from the one-row product in the last bits, while
     # a (W, 1, n) stack runs the one-row product per window, bit for bit.
     rows = stack.reshape(len(stack), 1, -1)
-    acts, _ = _forward(model.weights, model.biases, model.spec.activation, rows)
-    out = acts[-1].reshape(len(stack), *model.output_shape)
+    out = _output(model.weights, model.biases, model.spec.activation, rows)
+    out = out.reshape(len(stack), *model.output_shape)
     return out[0] if single else out

@@ -114,7 +114,8 @@ def _inputs(context, horizon: int, feature_names) -> tuple[np.ndarray, list[str]
 
 
 def _std(sigma2: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR))
+    """sqrt(max(sigma2, floor)), written over ``sigma2``, which every caller owns."""
+    return np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR, out=sigma2), out=sigma2)
 
 
 def _steps(stat: np.ndarray, ctx: np.ndarray, steps: int) -> np.ndarray:
@@ -184,9 +185,9 @@ def normalize(spec: NormalizerSpec, context, horizon: int, feature_names=None) -
         mu, scale, fallback = _window_statistics(spec, ctx, names)
         c_mu, c_scale = _steps(mu, ctx, ctx.shape[-2]), _steps(scale, ctx, ctx.shape[-2])
         h_mu, h_scale = _steps(mu, ctx, horizon), _steps(scale, ctx, horizon)
-    return NormalizedBatch(
-        (ctx - c_mu) / c_scale, c_mu, c_scale, h_mu, h_scale, spec.kind, names, fallback
-    )
+    normalized = np.subtract(ctx, c_mu)
+    normalized /= c_scale
+    return NormalizedBatch(normalized, c_mu, c_scale, h_mu, h_scale, spec.kind, names, fallback)
 
 
 def denormalize(residual_forecast, batch: NormalizedBatch) -> np.ndarray:

@@ -222,7 +222,9 @@ def split(frame: SeriesFrame, spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame
 def windows(frame: SeriesFrame, context_length: int, horizon: int, stride: int = 1) -> np.ndarray:
     """Sliding windows starting at stride multiples, as one (W, L+h, k) array.
 
-    ``out[:, :L]`` are the contexts and ``out[:, L:]`` the targets.
+    ``out[:, :L]`` are the contexts and ``out[:, L:]`` the targets. The
+    array is a read-only, strided view that shares the frame's memory, so
+    it costs no copy of the (L+h) times larger stack.
     """
     l, h = context_length, horizon
     if l < 1 or h < 1 or stride < 1:
@@ -231,4 +233,4 @@ def windows(frame: SeriesFrame, context_length: int, horizon: int, stride: int =
     if l + h > n:
         raise ValidationError(f"context + horizon = {l + h} exceeds series length {n}")
     view = np.lib.stride_tricks.sliding_window_view(frame.values, l + h, axis=0)
-    return np.ascontiguousarray(view.transpose(0, 2, 1)[::stride])
+    return view.transpose(0, 2, 1)[::stride]

@@ -727,6 +727,10 @@ class TestInvalidInputExitsOne:
             ("dataset", {"kind": "bogus", "path": "x.csv"}, "'bogus'"),
             ("dataset", {"kind": ["csv"]}, "dataset kind"),
             ("forecaster", {"seed": 3}, "seeds"),
+            ("nu", 2, "nu"),
+            # the config's 220 steps train on 132
+            ("mase_seasonality", 132, "mase_seasonality"),
+            ("mase_seasonality", 500, "mase_seasonality"),
         ],
     )
     def test_experiment_config_value_out_of_range(self, tmp_path, capsys, key, value, named):

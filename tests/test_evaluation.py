@@ -108,6 +108,11 @@ def tiny_spec(**kw):
     return ExperimentSpec(**base)
 
 
+def test_a_gaussian_experiment_leaves_nu_unchecked():
+    # a gaussian filter reads no nu; the student_t check is in test_range_checks
+    assert tiny_spec(family="gaussian", nu=2.0).nu == 2.0
+
+
 class TestRunExperiment:
     def test_report_structure(self):
         report = run_experiment(tiny_spec())
@@ -205,6 +210,19 @@ class TestRunExperiment:
             assert report.row(name).n_seeds == 1
             assert report.row(name).error is None
         assert "gas_norm_selected" not in {r.normalizer for r in report.rows}
+
+    @pytest.mark.parametrize("m", [156, 500])
+    def test_seasonality_not_below_the_training_length_raises_before_any_fit(
+        self, monkeypatch, m
+    ):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(evaluation_mod, "fit_frame", no_fit)
+        # 260 steps at train_fraction 0.6 train on 156
+        with pytest.raises(ValidationError, match=f"mase_seasonality {m} must be below"
+                           " the training length 156"):
+            run_experiment(tiny_spec(mase_seasonality=m))
 
     def test_a_feature_that_fails_to_fit_names_its_reason_in_the_cell(self, tmp_path):
         values = np.random.default_rng(0).normal(size=(260, 2)).cumsum(axis=0)

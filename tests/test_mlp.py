@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import collapse_linear, gradient_check
+from _helpers import collapse_linear, gradient_check, traced_peak
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
 from gasnorm.errors import NumericalError, ValidationError, from_keys, to_json
-from gasnorm.mlp import PATIENCE, init_layers
+from gasnorm.mlp import PATIENCE, _backward, _forward, _output, init_layers
 
 
 def linear_pairs(n=200, l=4, k=2, h=2, seed=0):
@@ -155,6 +157,41 @@ def test_stacked_predict_equals_each_window_bit_for_bit():
         assert np.array_equal(out[i], predict(model, ctx))
 
 
+@given(
+    widths=st.lists(st.integers(1, 40), max_size=2),
+    activation=st.sampled_from(list(Activation)),
+    rows=st.integers(1, 300),
+    n_in=st.integers(1, 60),
+    n_out=st.integers(1, 12),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_output_only_forward_is_forward_bit_for_bit(
+    widths, activation, rows, n_in, n_out, stacked, seed
+):
+    rng = np.random.default_rng(seed)
+    weights, biases = init_layers(MlpSpec(tuple(widths)), n_in, n_out, rng)
+    biases = [rng.normal(size=b.shape) for b in biases]
+    # predict's (W, 1, n) stacks as well as train's (W, n) rows
+    x = rng.normal(size=(rows, 1, n_in) if stacked else (rows, n_in))
+    acts, _ = _forward(weights, biases, activation, x)
+    assert np.array_equal(_output(weights, biases, activation, x), acts[-1])
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+def test_an_epoch_holds_at_most_two_layers_of_all_rows(with_val):
+    # the loss passes over all W rows keep no activations for backprop
+    rng = np.random.default_rng(9)
+    w = 4000
+    contexts, targets = rng.normal(size=(w, 4, 2)), rng.normal(size=(w, 1, 2))
+    val = (contexts, targets) if with_val else None
+    _, peak = traced_peak(train, MlpSpec((64, 64), epochs=1), contexts, targets, val)
+    layer = w * 64 * 8
+    # the quarter covers the (W, 2) outputs, their loss temporaries and the shuffle order
+    assert peak < 2 * layer + layer // 4
+
+
 class TestGradientCheck:
     def test_identity_net(self):
         rng = np.random.default_rng(0)
@@ -179,8 +216,6 @@ class TestGradientCheck:
         b1, b2 = biases[0][0], biases[1][0]
         y_hat = w2 * (w1 * x + b1) + b2
         expected = 2.0 * (y_hat - y) * w2 * x
-        from gasnorm.mlp import _backward, _forward
-
         acts, pre = _forward(weights, biases, spec.activation, np.array([[x]]))
         grads_w, _ = _backward(weights, spec.activation, acts, pre, np.array([[y]]))
         assert grads_w[0][0, 0] == pytest.approx(expected, rel=1e-12)

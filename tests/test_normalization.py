@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _helpers import frames
+from _helpers import frames, traced_peak
 from _oracles import naive_filter, save_batch_csvs_per_value
 from gasnorm import (
     Family,
@@ -340,6 +340,17 @@ BATCH_ARRAYS = ("normalized_context", "context_mu", "context_scale", "horizon_mu
                 "horizon_scale")
 
 
+def fixed_spec(kind, names, gamma=0.5, family=Family.STUDENT_T):
+    """A ``kind`` normalizer of ``names`` whose inputs need no fit: mean 0.5, variance 2."""
+    return NormalizerSpec(
+        kind,
+        gas_params={n: static_params(0.5, 2.0, gamma=gamma, family=family, nu=8.0)
+                    for n in names} if kind is NormalizerKind.GAS_NORM else None,
+        global_stats={n: (0.5, 2.0) for n in names}
+        if kind is NormalizerKind.GLOBAL_NORM else None,
+    )
+
+
 @given(
     kind=st.sampled_from(list(NormalizerKind)),
     k=st.sampled_from([1, 3]),
@@ -364,13 +375,7 @@ def test_stack_is_bit_identical_to_each_window_alone(
         pattern = np.repeat(np.arange(1.0, l // 2 + 1), 2) * np.tile([1.0, -1.0], l // 2)
         values[:l] = np.append(pattern, [0.0] * (l % 2))[:, None]
     names = [f"f{j}" for j in range(k)]
-    spec = NormalizerSpec(
-        kind,
-        gas_params={n_: static_params(0.5, 2.0, gamma=gamma, family=family, nu=8.0)
-                    for n_ in names} if kind is NormalizerKind.GAS_NORM else None,
-        global_stats={n_: (0.5, 2.0) for n_ in names}
-        if kind is NormalizerKind.GLOBAL_NORM else None,
-    )
+    spec = fixed_spec(kind, names, gamma=gamma, family=family)
     # the stack is the pipeline's: contexts sliced out of the windows array
     stack = normalize(spec, windows(SeriesFrame(values), l, h, stride)[:, :l], h, names)
     residual = rng.normal(size=stack.horizon_mu.shape)
@@ -385,6 +390,45 @@ def test_stack_is_bit_identical_to_each_window_alone(
     assert stack.horizon == h
     if zero_mean and kind is NormalizerKind.MEAN_SCALING:
         assert stack.fallback[0].all()
+
+
+@given(
+    kind=st.sampled_from(list(NormalizerKind)),
+    k=st.sampled_from([1, 3]),
+    l=st.integers(2, 40),
+    h=st.integers(1, 6),
+    extra=st.integers(0, 30),
+    stride=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_windows_view_normalizes_as_its_contiguous_copy(kind, k, l, h, extra, stride, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(loc=rng.uniform(-3, 3), scale=rng.uniform(0.5, 3), size=(l + h + extra, k))
+    names = [f"f{j}" for j in range(k)]
+    spec = fixed_spec(kind, names)
+    view = windows(SeriesFrame(values), l, h, stride)[:, :l]
+    on_view, on_copy = (normalize(spec, c, h, names) for c in (view, np.ascontiguousarray(view)))
+    for name in BATCH_ARRAYS:
+        assert np.array_equal(getattr(on_view, name), getattr(on_copy, name)), name
+    if kind is NormalizerKind.MEAN_SCALING:
+        assert np.array_equal(on_view.fallback, on_copy.fallback)
+
+
+@pytest.mark.parametrize(
+    "kind, rows, bound",
+    # a window normalizer's batch holds one new context-sized array, the normalized
+    # context; gas_norm's holds three, its per-step mu and scale as well
+    [(NormalizerKind.LOCAL_NORM, 5000, 1.3), (NormalizerKind.GLOBAL_NORM, 5000, 1.3),
+     (NormalizerKind.MEAN_SCALING, 5000, 1.3), (NormalizerKind.GAS_NORM, 400, 3.75)],
+)
+def test_normalize_allocates_about_its_batch(kind, rows, bound):
+    names = ["a", "b", "c"]
+    frame = SeriesFrame(np.random.default_rng(13).normal(size=(rows, 3)), names)
+    context = windows(frame, 48, 8)[:, :48]
+    batch, peak = traced_peak(normalize, fixed_spec(kind, names), context, 8, names)
+    assert batch.normalized_context.shape == context.shape
+    assert peak <= bound * context.nbytes
 
 
 def test_save_batch_files(tmp_path):

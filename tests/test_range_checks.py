@@ -55,6 +55,9 @@ CASES = {
         lambda: experiment(dataset=3),
         "dataset must be an ArSpec, a LorenzSpec or a csv dataset path (a non-empty string), got 3",
     ),
+    "experiment_nu": (
+        lambda: experiment(nu=2.0), "nu must exceed 2 for the student_t family, got 2.0"
+    ),
     "fit_gamma": (lambda: FitConfig(gamma=-0.1), "gamma must lie in [0, 1)"),
     "mlp_epochs": (
         lambda: MlpSpec(epochs=0),

@@ -341,9 +341,18 @@ class TestWindows:
         frame = SeriesFrame(np.arange(24.0).reshape(12, 2))
         win = windows(frame, 3, 2, stride=3)
         assert win.shape == (3, 5, 2)
-        assert win.flags.c_contiguous
+        # a read-only view of the frame, not a copy of it
+        assert np.shares_memory(win, frame.values)
+        assert not win.flags.writeable
         for i in range(3):
             np.testing.assert_array_equal(win[i], frame.values[3 * i : 3 * i + 5])
+
+    def test_allocates_no_copy_of_the_windows(self):
+        # a copy of these 19,945 windows of 56 x 3 values would take 26.8 MB
+        frame = make_frame(20_000, k=3)
+        win, peak = traced_peak(windows, frame, 48, 8)
+        assert win.shape == (19_945, 56, 3)
+        assert peak < 64 * 1024
 
     def test_count_formula(self):
         for n, l, h, s in [(20, 4, 3, 2), (17, 5, 1, 3), (30, 10, 10, 7)]:
