@@ -86,6 +86,11 @@ class ExperimentSpec:
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         if not self.seeds or min(self.seeds) < 0:
             raise ValidationError(f"seeds must be non-empty and non-negative, got {self.seeds}")
+        # with no normalizer, or gas_norm without a gamma, no cell would run
+        if not self.normalizers:
+            raise ValidationError("normalizers must be non-empty, got ()")
+        if NormalizerKind.GAS_NORM in self.normalizers and not self.gammas:
+            raise ValidationError("gammas must be non-empty when gas_norm runs, got ()")
         if any(not 0.0 <= g < 1.0 for g in self.gammas):
             raise ValidationError("gammas must lie in [0, 1)")
         if self.family is Family.STUDENT_T and not self.nu > 2:

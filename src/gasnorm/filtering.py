@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, check_fields
+from .series import one_series
 
 VARIANCE_FLOOR = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -102,7 +103,7 @@ def filter_series(params: GasParams, ys) -> FilterTrace:
 
     Raises NumericalError naming the first timestep whose state is non-finite.
     """
-    ys = np.ascontiguousarray(ys, dtype=np.float64).ravel()
+    ys = one_series(ys)
     if ys.size == 0:
         raise ValidationError("cannot filter an empty series")
     if not np.all(np.isfinite(ys)):

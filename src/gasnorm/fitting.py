@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError, check_at_least, check_fields
 from .filtering import VARIANCE_FLOOR, Family, GasParams, filter_series
-from .series import SeriesFrame
+from .series import SeriesFrame, one_series
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def fit(ys, config: FitConfig) -> FitResult:
     usable core; the returned objective never falls below the one at the
     unperturbed initialization.
     """
-    ys = np.asarray(ys, dtype=np.float64).ravel()
+    ys = one_series(ys)
     if ys.size < 10:
         raise ValidationError(f"need at least 10 observations to fit, got {ys.size}")
     with np.errstate(over="ignore", invalid="ignore"):

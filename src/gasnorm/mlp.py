@@ -5,6 +5,11 @@ horizon residuals that denormalization recombines with the filter's
 forecast. Windows come stacked: contexts (W, L, k), targets (W, h, k).
 With identity activations the whole network collapses to one affine
 map, which is the linear baseline used in the shift experiments.
+
+One forward pass, ``_layers``, serves the SGD step, the loss passes and
+``predict``. The SGD step keeps every layer's output for backprop, which
+needs no pre-activations; the loss passes and ``predict`` keep only the
+latest layer.
 """
 
 from __future__ import annotations
@@ -82,37 +87,27 @@ def init_layers(
     return weights, biases
 
 
-def _forward(weights, biases, activation: Activation, x: np.ndarray):
-    """Returns layer inputs (activations) and pre-activations for backprop."""
-    acts = [x]
-    pre = []
-    h = x
+def _layers(weights, biases, activation: Activation, x: np.ndarray):
+    """Yields each layer's output in turn, the input's rows through every layer.
+
+    The bias and ReLU are applied in place, ReLU on every layer but the
+    last, so a caller that keeps only the latest output holds at most two
+    layers at once.
+    """
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w + b
-        pre.append(z)
+        x = x @ w
+        x += b
         if i < last and activation is Activation.RELU:
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-        acts.append(h)
-    return acts, pre
+            np.maximum(x, 0.0, out=x)
+        yield x
 
 
 def _output(weights, biases, activation: Activation, x: np.ndarray) -> np.ndarray:
-    """The network's output alone, with ``_forward``'s float operations in its order.
-
-    Each layer's input is dropped once the next layer is computed, and the
-    bias and ReLU are applied in place, so at most two layers are held.
-    """
-    h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w
-        h += b
-        if i < last and activation is Activation.RELU:
-            np.maximum(h, 0.0, out=h)
-    return h
+    """The network's output alone: each layer's input is dropped once the next is made."""
+    for x in _layers(weights, biases, activation, x):
+        pass
+    return x
 
 
 def _loss(weights, biases, activation: Activation, x: np.ndarray, targets: np.ndarray) -> float:
@@ -120,8 +115,12 @@ def _loss(weights, biases, activation: Activation, x: np.ndarray, targets: np.nd
     return float(np.mean((_output(weights, biases, activation, x) - targets) ** 2))
 
 
-def _backward(weights, activation, acts, pre, targets):
-    """MSE gradients for every weight and bias; loss averages all entries."""
+def _backward(weights, activation, acts, targets):
+    """MSE gradients for every weight and bias; loss averages all entries.
+
+    ``acts`` holds the input and each layer's output. A ReLU output is
+    positive exactly where its pre-activation is, so it masks the gradient.
+    """
     n = targets.size
     delta = 2.0 * (acts[-1] - targets) / n
     grads_w = [None] * len(weights)
@@ -132,7 +131,7 @@ def _backward(weights, activation, acts, pre, targets):
         if i > 0:
             delta = delta @ weights[i].T
             if activation is Activation.RELU:
-                delta = delta * (pre[i - 1] > 0.0)
+                delta = delta * (acts[i] > 0.0)
     return grads_w, grads_b
 
 
@@ -174,8 +173,9 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
             order = rng.permutation(n)
             for start in range(0, n, spec.batch_size):
                 idx = order[start : start + spec.batch_size]
-                acts, pre = _forward(weights, biases, spec.activation, X[idx])
-                grads_w, grads_b = _backward(weights, spec.activation, acts, pre, Y[idx])
+                x = X[idx]
+                acts = [x, *_layers(weights, biases, spec.activation, x)]
+                grads_w, grads_b = _backward(weights, spec.activation, acts, Y[idx])
                 for i in range(len(weights)):
                     weights[i] -= spec.learning_rate * grads_w[i]
                     biases[i] -= spec.learning_rate * grads_b[i]

@@ -24,6 +24,14 @@ def as_columns(values) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else values
 
 
+def one_series(values) -> np.ndarray:
+    """``values`` as one feature's contiguous 1-D series; only a 1-D or (T, 1) array is one."""
+    values = as_columns(values)
+    if values.ndim != 2 or values.shape[1] != 1:
+        raise ValidationError(f"need one series, 1-D or (T, 1), got shape {values.shape}")
+    return np.ascontiguousarray(values[:, 0])
+
+
 @dataclass(frozen=True)
 class SeriesFrame:
     """Immutable multivariate series indexed (time, feature).

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import gasnorm
 from gasnorm import Activation, MlpSpec, SeriesFrame, TrainedModel
 from gasnorm.errors import ValidationError
-from gasnorm.mlp import _backward, _forward, init_layers
+from gasnorm.mlp import _backward, _layers, _loss, init_layers
 from gasnorm.series import _BLOCK_ROWS, _parse_csv
 
 
@@ -142,12 +142,11 @@ def gradient_check(spec: MlpSpec, sample, step: float = 1e-6) -> float:
     rng = np.random.default_rng(spec.seed)
     weights, biases = init_layers(spec, X.shape[1], Y.shape[1], rng)
 
-    acts, pre = _forward(weights, biases, spec.activation, X)
-    grads_w, grads_b = _backward(weights, spec.activation, acts, pre, Y)
+    acts = [X, *_layers(weights, biases, spec.activation, X)]
+    grads_w, grads_b = _backward(weights, spec.activation, acts, Y)
 
     def loss() -> float:
-        a, _ = _forward(weights, biases, spec.activation, X)
-        return float(np.mean((a[-1] - Y) ** 2))
+        return _loss(weights, biases, spec.activation, X, Y)
 
     worst = 0.0
     for params, grads in ((weights, grads_w), (biases, grads_b)):

@@ -4,6 +4,8 @@ These deliberately re-derive everything from the density definitions
 (scipy.stats for log-densities, plain formula transcriptions for the
 scores, the Fisher information and the score steps) and never call into
 gasnorm's filter path; they take only its enum, error and frame types.
+The MLP's reference passes keep every pre-activation and mask backprop
+on them, where the library keeps only each layer's output.
 """
 
 import csv
@@ -14,7 +16,7 @@ from itertools import chain
 import numpy as np
 from scipy import stats
 
-from gasnorm import SeriesFrame
+from gasnorm import Activation, SeriesFrame
 from gasnorm.errors import ValidationError
 from gasnorm.filtering import Family
 
@@ -156,6 +158,35 @@ def lorenz_states(spec):
         rng = np.random.default_rng(spec.seed)
         states = states + rng.normal(0.0, 1.0, size=states.shape) * noise_std
     return states
+
+
+def mlp_forward(weights, biases, activation, x):
+    """Every layer's input and output, and every pre-activation: z = h @ w + b, ReLU copied."""
+    acts, pre = [x], []
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        pre.append(z)
+        if i < len(weights) - 1 and activation is Activation.RELU:
+            h = np.maximum(z, 0.0)
+        else:
+            h = z
+        acts.append(h)
+    return acts, pre
+
+
+def mlp_backward(weights, activation, acts, pre, targets):
+    """Gradients of the mean squared error over all entries, masked on the pre-activations."""
+    delta = 2.0 * (acts[-1] - targets) / targets.size
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ weights[i].T
+            if activation is Activation.RELU:
+                delta = delta * (pre[i - 1] > 0.0)
+    return grads_w, grads_b
 
 
 def _quoted(cells) -> str:

@@ -728,6 +728,8 @@ class TestInvalidInputExitsOne:
             ("dataset", {"kind": ["csv"]}, "dataset kind"),
             ("forecaster", {"seed": 3}, "seeds"),
             ("nu", 2, "nu"),
+            ("normalizers", [], "normalizers must be non-empty"),
+            ("gammas", [], "gammas must be non-empty when gas_norm runs"),
             # the config's 220 steps train on 132
             ("mase_seasonality", 132, "mase_seasonality"),
             ("mase_seasonality", 500, "mase_seasonality"),

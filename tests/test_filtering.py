@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -259,6 +260,21 @@ class TestFilterSeries:
     def test_empty_series_errors(self):
         with pytest.raises(ValidationError):
             filter_series(gaussian_params(), [])
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 1, 1), (2, 3, 4), ()])
+    def test_more_than_one_series_is_named_by_its_shape(self, shape):
+        # a (T, k) array is k series, not one series of T*k steps
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+            filter_series(gaussian_params(), np.ones(shape))
+
+    def test_a_column_is_its_series(self):
+        ys = np.random.default_rng(4).normal(size=30)
+        p = gaussian_params()
+        want = filter_series(p, ys)
+        for column in (ys[:, None], np.stack([ys, ys], axis=1)[:, :1]):
+            got = filter_series(p, column)
+            assert np.array_equal(got.mu_prior, want.mu_prior)
+            assert (got.loglik, got.penalty) == (want.loglik, want.penalty)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_holds_under_three_times_its_trace_bytes(self, family):

@@ -179,6 +179,14 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(np.ones(5), FitConfig())
 
+    def test_more_than_one_series_is_named_by_its_shape(self):
+        # three series, not one series of 180 values
+        ys = np.random.default_rng(0).normal(size=(60, 3))
+        with pytest.raises(ValidationError, match=re.escape("got shape (60, 3)")):
+            fit(ys, FitConfig())
+        with pytest.raises(ValidationError, match=re.escape("got shape (60, 3)")):
+            penalized_objective(GasParams(), ys)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_variance_is_invalid_input(self):
         ys = iid_normal(50)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import collapse_linear, gradient_check, traced_peak
+from _oracles import mlp_backward, mlp_forward
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
 from gasnorm.errors import NumericalError, ValidationError, from_keys, to_json
-from gasnorm.mlp import PATIENCE, _backward, _forward, _output, init_layers
+from gasnorm.mlp import PATIENCE, _backward, _layers, _output, init_layers
 
 
 def linear_pairs(n=200, l=4, k=2, h=2, seed=0):
@@ -77,6 +79,29 @@ class TestTrain:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="training loss became non-finite at epoch"):
                 train(spec, *pairs, val=linear_pairs(n=10, seed=7))
+
+    @pytest.mark.parametrize(
+        "with_val, epochs, digest",
+        [
+            (False, 40, "43b00d8c01e7d76b993ec82a63ecf061015108557f40916433f9d014a926b4cc"),
+            (True, 19, "aa1cf47d8b21c04938ba7d8ae4a4652e4a2a8bfded6664a147d266e8bd70e1eb"),
+        ],
+        ids=["full_budget", "early_stop"],
+    )
+    def test_pinned_bits(self, with_val, epochs, digest):
+        # sha256 of the weights, biases and loss curve, so that a refactor keeps
+        # training bit for bit; recorded with numpy 2.4 and OpenBLAS 0.3.31 on
+        # x86-64, whose kernels fix the last bits of each product
+        rng = np.random.default_rng(123)
+        contexts, targets = rng.normal(size=(300, 6, 2)), rng.normal(size=(300, 2, 2))
+        val = (rng.normal(size=(80, 6, 2)), rng.normal(size=(80, 2, 2)))
+        spec = MlpSpec((16, 16), Activation.RELU, learning_rate=0.05, epochs=40, batch_size=16)
+        model = train(spec, contexts, targets, val if with_val else None)
+        assert len(model.train_loss_curve) == epochs
+        h = hashlib.sha256()
+        for a in (*model.weights, *model.biases, np.array(model.train_loss_curve)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPredict:
@@ -175,8 +200,40 @@ def test_output_only_forward_is_forward_bit_for_bit(
     biases = [rng.normal(size=b.shape) for b in biases]
     # predict's (W, 1, n) stacks as well as train's (W, n) rows
     x = rng.normal(size=(rows, 1, n_in) if stacked else (rows, n_in))
-    acts, _ = _forward(weights, biases, activation, x)
+    acts, _ = mlp_forward(weights, biases, activation, x)
+    layers = list(_layers(weights, biases, activation, x))
+    assert len(layers) == len(acts) - 1
+    assert all(np.array_equal(got, want) for got, want in zip(layers, acts[1:]))
     assert np.array_equal(_output(weights, biases, activation, x), acts[-1])
+
+
+@given(
+    widths=st.lists(st.integers(1, 12), max_size=2),
+    activation=st.sampled_from(list(Activation)),
+    rows=st.integers(1, 40),
+    n_in=st.integers(1, 12),
+    n_out=st.integers(1, 4),
+    zeros=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0.0, -0.0])), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_backward_is_the_pre_activation_masked_reference_bit_for_bit(
+    widths, activation, rows, n_in, n_out, zeros, seed
+):
+    rng = np.random.default_rng(seed)
+    weights, biases = init_layers(MlpSpec(tuple(widths)), n_in, n_out, rng)
+    biases = [rng.normal(size=b.shape) for b in biases]
+    # a hidden unit with a zero weight column and a signed zero bias has
+    # pre-activations of exactly 0.0 or -0.0, where the ReLU mask is decided
+    for i, (unit, zero) in enumerate(zeros if widths else ()):
+        layer = i % len(widths)
+        weights[layer][:, unit % widths[layer]] = 0.0
+        biases[layer][unit % widths[layer]] = zero
+    x, y = rng.normal(size=(rows, n_in)), rng.normal(size=(rows, n_out))
+    grads = _backward(weights, activation, [x, *_layers(weights, biases, activation, x)], y)
+    want = mlp_backward(weights, activation, *mlp_forward(weights, biases, activation, x), y)
+    for got_layers, want_layers in zip(grads, want):
+        assert all(np.array_equal(g, w) for g, w in zip(got_layers, want_layers))
 
 
 @pytest.mark.parametrize("with_val", [False, True])
@@ -216,8 +273,8 @@ class TestGradientCheck:
         b1, b2 = biases[0][0], biases[1][0]
         y_hat = w2 * (w1 * x + b1) + b2
         expected = 2.0 * (y_hat - y) * w2 * x
-        acts, pre = _forward(weights, biases, spec.activation, np.array([[x]]))
-        grads_w, _ = _backward(weights, spec.activation, acts, pre, np.array([[y]]))
+        acts = [np.array([[x]]), *_layers(weights, biases, spec.activation, np.array([[x]]))]
+        grads_w, _ = _backward(weights, spec.activation, acts, np.array([[y]]))
         assert grads_w[0][0, 0] == pytest.approx(expected, rel=1e-12)
         assert gradient_check(spec, (np.array([[x]]), np.array([[y]]))) < 1e-8
 

@@ -21,9 +21,8 @@ from gasnorm import (
 from gasnorm.errors import ValidationError
 
 
-def experiment(dataset=ArSpec(length=60), **kw):
-    return ExperimentSpec(dataset, (NormalizerKind.GLOBAL_NORM,), MlpSpec((4,)),
-                          SplitSpec(0.6, 0.2, 4, 2), **kw)
+def experiment(dataset=ArSpec(length=60), normalizers=(NormalizerKind.GLOBAL_NORM,), **kw):
+    return ExperimentSpec(dataset, normalizers, MlpSpec((4,)), SplitSpec(0.6, 0.2, 4, 2), **kw)
 
 
 # (call, the message it raises)
@@ -51,6 +50,13 @@ CASES = {
         "actual must be 1-D or 2-D (time, feature), got ndim=3",
     ),
     "experiment_gammas": (lambda: experiment(gammas=(0.5, 1.0)), "gammas must lie in [0, 1)"),
+    "experiment_normalizers": (
+        lambda: experiment(normalizers=()), "normalizers must be non-empty, got ()"
+    ),
+    "experiment_gas_norm_gammas": (
+        lambda: experiment(normalizers=(NormalizerKind.GAS_NORM,), gammas=()),
+        "gammas must be non-empty when gas_norm runs, got ()",
+    ),
     "experiment_dataset": (
         lambda: experiment(dataset=3),
         "dataset must be an ArSpec, a LorenzSpec or a csv dataset path (a non-empty string), got 3",
