@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 invalid input (bad flags, files, parameters),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -16,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from .datagen import DATASET_KINDS, gen_ar, gen_lorenz, write_spec_sidecar
-from .errors import NumericalError, ValidationError, check_keys, from_keys, to_json
+from .errors import NumericalError, ValidationError, check_keys, from_keys, read_json, write_json
 from .evaluation import ExperimentSpec, emit_report, mase, run_experiment
 from .filtering import Family, GasParams
 from .fitting import FitConfig, FitResult, fit_frame
@@ -33,16 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _read_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-
-
 def _load_config(args) -> dict:
-    return check_keys(_read_json(args.config), args.config) if args.config else {}
+    return check_keys(read_json(args.config), args.config) if args.config else {}
 
 
 def _out(args, name: str) -> str:
@@ -90,14 +81,13 @@ def _cmd_fit(args) -> int:
     config = FitConfig(**{k: v for k, v in vars(args).items() if k in _fields(FitConfig)})
     results = fit_frame(frame, config)
     path = _out(args, "params.json")
-    with open(path, "w") as fh:
-        json.dump(to_json(results), fh, indent=2)
+    write_json(results, path)
     print(path)
     return 0
 
 
 def _load_params(path) -> dict[str, GasParams]:
-    doc = check_keys(_read_json(path), path)
+    doc = check_keys(read_json(path), path)
     return {n: from_keys(FitResult, r, f"{path} feature {n!r}").params for n, r in doc.items()}
 
 
@@ -125,7 +115,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_forecast(args) -> int:
     frame, batch = _normalized(args)
     if args.model:
-        model = from_keys(TrainedModel, _read_json(args.model), f"model {args.model}")
+        model = from_keys(TrainedModel, read_json(args.model), f"model {args.model}")
         residual = predict(model, batch.normalized_context)
     else:
         # no residual model: the forecast is the filter's own statistics path
@@ -176,8 +166,7 @@ def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
 def _cmd_experiment(args) -> int:
     spec = experiment_spec_from_dict(_load_config(args))
     report = run_experiment(spec)
-    os.makedirs(args.output_dir, exist_ok=True)
-    csv_path, json_path = emit_report(report, os.path.join(args.output_dir, "report"))
+    csv_path, json_path = emit_report(report, _out(args, "report"))
     print(csv_path)
     print(json_path)
     return 0
@@ -253,6 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdout is UTF-8 like every file the CLI writes, whatever the locale says
+    if hasattr(sys.stdout, "reconfigure") and sys.stdout.encoding.lower() != "utf-8":
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_at_least, check_fields, to_json
+from .errors import (NumericalError, ValidationError, check_at_least, check_fields, to_json,
+                     write_json)
 from .series import SeriesFrame
 
 
@@ -62,8 +62,6 @@ class LorenzSpec:
 def ar_is_stable(ar_coeffs) -> bool:
     """True when all roots of 1 - a_1 z - ... - a_p z^p lie outside the unit circle."""
     coeffs = np.asarray(ar_coeffs, dtype=np.float64)
-    if coeffs.size == 0:
-        return True
     roots = np.roots(np.concatenate(([1.0], -coeffs))[::-1])
     return bool(np.all(np.abs(roots) > 1.0))
 
@@ -139,5 +137,4 @@ def dataset_kind(spec: ArSpec | LorenzSpec) -> str:
 
 def write_spec_sidecar(spec, path) -> None:
     """Write ``{"kind": ..., **fields}``: a ``gen --config`` file and an experiment dataset."""
-    with open(path, "w") as fh:
-        json.dump({"kind": dataset_kind(spec), **to_json(spec)}, fh, indent=2)
+    write_json({"kind": dataset_kind(spec), **to_json(spec)}, path)

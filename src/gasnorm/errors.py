@@ -2,12 +2,14 @@
 
 The CLI maps ValidationError (and unreadable files) to exit code 1 and
 NumericalError to exit code 2; everything else is a plain crash. Every
-JSON file is written from ``to_json`` and read back through ``from_keys``;
-dataclasses check their field types with ``check_fields``.
+JSON file is written by ``write_json`` from ``to_json`` and read back by
+``read_json`` and ``from_keys``; dataclasses check their field types with
+``check_fields``.
 """
 
 import enum
 import functools
+import json
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -139,3 +141,18 @@ def to_json(obj):
     if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
     return obj
+
+
+def write_json(obj, path) -> None:
+    """Write ``to_json(obj)`` to ``path`` as UTF-8 JSON, indented by 2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(to_json(obj), fh, indent=2)
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file ``path``; a ValidationError if it is not valid JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -10,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, dataset_kind, gen_ar, gen_lorenz
-from .errors import ValidationError, check_at_least, check_fields, to_json
+from .errors import ValidationError, check_at_least, check_fields, write_json
 from .filtering import Family
 from .fitting import FitConfig, fit_frame
 from .mlp import MlpSpec, predict, train
@@ -47,10 +46,12 @@ def mase(actual, forecast, train, m: int = 1) -> np.ndarray:
 
 
 def select_gamma(validation_mase: dict[float, float]) -> float:
-    """Argmin of validation MASE; ties break toward smaller gamma."""
+    """Argmin of validation MASE; ties break toward smaller gamma, NaN ranks last."""
     if not validation_mase:
         raise ValidationError("empty validation map")
-    return min(validation_mase.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    # NaN ranks as (True, 0.0): no comparison orders NaN, so it would follow the dict's order
+    ranks = [(math.isnan(v), 0.0 if math.isnan(v) else v, g) for g, v in validation_mase.items()]
+    return min(ranks)[2]
 
 
 @dataclass(frozen=True)
@@ -258,13 +259,12 @@ def emit_report(report: EvalReport, path) -> tuple[str, str]:
     if os.path.isdir(path):
         path = os.path.join(path, "report")
     csv_path, json_path = path + ".csv", path + ".json"
-    with open(csv_path, "w", newline="\n") as fh:
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dataset,normalizer,gamma,mase_mean,mase_stderr,n_seeds\n")
         for r in report.rows:
             gamma = "" if r.gamma is None else format(r.gamma, "g")
             fh.write(csv_line([r.dataset, r.normalizer, gamma, f"{r.mase_mean:.17g}",
                                f"{r.mase_stderr:.17g}", r.n_seeds]))
-    with open(json_path, "w") as fh:
-        json.dump(to_json(report), fh, indent=2)
+    write_json(report, json_path)
     return csv_path, json_path
 

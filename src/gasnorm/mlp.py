@@ -152,15 +152,22 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
     When ``val``, a (contexts, targets) pair, is supplied, training stops
     once validation MSE has not improved for ``PATIENCE`` consecutive
     epochs and the best-validation weights are returned; otherwise it
-    runs the full epoch budget.
+    runs the full epoch budget. ``val``'s windows must have the training
+    windows' shapes, and every value must be finite.
     """
     X, Y = _rows(contexts, targets)
+    shapes = np.shape(contexts)[1:], np.shape(targets)[1:]
     rng = np.random.default_rng(spec.seed)
     weights, biases = init_layers(spec, X.shape[1], Y.shape[1], rng)
 
     Xv = Yv = None
     if val is not None:
         Xv, Yv = _rows(*val)
+        val_shapes = np.shape(val[0])[1:], np.shape(val[1])[1:]
+        if val_shapes != shapes:
+            raise ValidationError(f"val window shapes {val_shapes} differ from training {shapes}")
+    if not all(np.isfinite(a).all() for a in (X, Y, Xv, Yv) if a is not None):
+        raise ValidationError("contexts, targets and val must be finite")
     best_val = np.inf
     best_snapshot = None
     stall = 0
@@ -195,9 +202,7 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
                         break
     if best_snapshot is not None:
         weights, biases = best_snapshot
-    return TrainedModel(
-        weights, biases, spec, losses, np.shape(contexts)[1:], np.shape(targets)[1:]
-    )
+    return TrainedModel(weights, biases, spec, losses, *shapes)
 
 
 def predict(model: TrainedModel, context) -> np.ndarray:

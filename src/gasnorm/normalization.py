@@ -14,19 +14,18 @@ at time t depends only on strictly earlier observations.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_fields, to_json
+from .errors import ValidationError, check_fields, write_json
 from .filtering import (
     VARIANCE_FLOOR,
     GasParams,
     filter_series,
     forecast_statistics,
 )
-from .series import SeriesFrame, as_columns, csv_line, write_rows
+from .series import SeriesFrame, as_columns, csv_line, write_csv, write_rows
 
 _MEAN_SCALE_EPS = 1e-12
 
@@ -210,10 +209,9 @@ def save_batch(batch: NormalizedBatch, stem) -> None:
     if batch.normalized_context.ndim != 2:
         raise ValidationError("save_batch writes one (T, k) window, not a stack")
     names = batch.feature_names
-    with open(f"{stem}_normalized.csv", "w", newline="\n") as fh:
-        fh.write(csv_line(names))
-        write_rows(fh, csv_line(["%.17g"] * len(names)), batch.normalized_context)
-    with open(f"{stem}_stats.csv", "w", newline="\n") as fh:
+    # a view, so the frame's read-only flag stays off the batch's own array
+    write_csv(SeriesFrame(batch.normalized_context.view(), names), f"{stem}_normalized.csv")
+    with open(f"{stem}_stats.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("phase,step,feature,mu,scale\n")
         for phase, mu, scale in (
             ("context", batch.context_mu, batch.context_scale),
@@ -229,5 +227,4 @@ def save_batch(batch: NormalizedBatch, stem) -> None:
         "horizon": batch.horizon,
         "fallback": batch.fallback,
     }
-    with open(f"{stem}.json", "w") as fh:
-        json.dump(to_json(sidecar), fh, indent=2)
+    write_json(sidecar, f"{stem}.json")

@@ -109,7 +109,7 @@ def load_csv(path) -> SeriesFrame:
     feature names, none of them a number. Non-numeric or non-finite cells
     are rejected with the first offending row/column named.
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return _parse_csv(fh, str(path))
 
 
@@ -194,7 +194,7 @@ def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
 
 def write_csv(frame: SeriesFrame, path) -> None:
     """Emit LF-terminated CSV with a header row and 17-significant-digit reals."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_line(frame.feature_names))
         write_rows(fh, csv_line(["%.17g"] * frame.n_features), frame.values)
 

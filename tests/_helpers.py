@@ -73,13 +73,18 @@ def traced_peak(fn, *args):
             tracemalloc.stop()
 
 
-def fresh_interpreter(code: str) -> str:
-    """Stdout of ``code`` run in a new Python process that imports this gasnorm."""
+def fresh_interpreter(code: str, env=None) -> str:
+    """Stdout of ``code`` run in a new Python process that imports this gasnorm.
+
+    ``env`` adds to (or overrides) this process's environment variables;
+    the child's stdout is decoded as UTF-8.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(gasnorm.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import io
@@ -22,6 +23,7 @@ from gasnorm import (
     TrainedModel,
     fit_frame,
     load_csv,
+    mase,
     predict,
     to_json,
     train,
@@ -794,6 +796,52 @@ def test_a_run_without_a_fit_loads_neither_the_optimizer_nor_a_process_pool():
         """
     )
     assert out == "[]\n"
+
+
+# a locale whose preferred encoding is ASCII, with Python's UTF-8 overrides switched off
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_files_and_eval_output_are_utf8_whatever_the_locale(tmp_path):
+    probe = fresh_interpreter("import locale; print(locale.getpreferredencoding(False))",
+                              env=ASCII_LOCALE)
+    if codecs.lookup(probe.strip()).name == "utf-8":
+        pytest.skip(f"the C locale reads as {probe.strip()} here")
+    actual = [1.5, 2, 0.5, 3, 2.5, 1, 4, 3.5]
+    # the code is ASCII: an ASCII locale could not decode it from the command line
+    out = fresh_interpreter(
+        r"""
+        import os
+        from gasnorm import load_csv, write_csv
+        from gasnorm.cli import main
+
+        os.chdir(os.environ["WORKDIR"])
+        NAME = "caf\u00e9"
+
+        def write(name, text):
+            with open(name, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+
+        write("train.csv", NAME + "\n" + "".join(f"{v}\n" for v in os.environ["ACTUAL"].split()))
+        write("forecast.csv", NAME + "\n" + "2\n" * 8)
+        frame = load_csv("train.csv")
+        assert frame.feature_names == [NAME], frame.feature_names
+        write_csv(frame, "copy.csv")
+        assert open("copy.csv", "rb").read() == open("train.csv", "rb").read()
+        # by hand, so the name is stored as raw UTF-8 bytes, not as a JSON escape
+        write("params.json", '{"%s": {"params": {"gamma": 0.5}, "objective": -1.0, '
+                             '"iterations": 0, "converged": false, "evaluations": 1}}' % NAME)
+        argv = ["normalize", "copy.csv", "--params", "params.json", "--output-dir", "out"]
+        assert main(argv) == 0
+        for name in ("out/batch_normalized.csv", "out/batch_stats.csv"):
+            assert NAME.encode("utf-8") in open(name, "rb").read()
+        assert main(["eval", "--actual", "train.csv", "--forecast", "forecast.csv",
+                     "--train", "copy.csv"]) == 0
+        """,
+        env={**ASCII_LOCALE, "WORKDIR": str(tmp_path), "ACTUAL": " ".join(map(str, actual))},
+    )
+    want = mase(np.array(actual)[:, None], np.full((8, 1), 2.0), np.array(actual)[:, None])
+    assert out.splitlines()[-1] == f"café,{want[0]:.17g}"
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])

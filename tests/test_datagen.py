@@ -41,6 +41,7 @@ class TestGenAr:
             gen_ar(ArSpec(length=50, ar_coeffs=(1.2,), require_stable=True))
         assert ar_is_stable((0.5, 0.3))
         assert not ar_is_stable((1.2,))
+        assert ar_is_stable(())
 
     def test_seeded_determinism(self):
         spec = ArSpec(length=100, seed=9)

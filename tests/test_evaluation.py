@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ class TestSelectGamma:
 
     def test_singleton(self):
         assert select_gamma({0.3: 2.0}) == 0.3
+
+    def test_nan_ranks_last_in_either_order(self):
+        assert select_gamma({0.1: math.nan, 0.5: 1.0}) == 0.5
+        assert select_gamma({0.5: 1.0, 0.1: math.nan}) == 0.5
+        # two NaN objects, which no comparison orders
+        assert select_gamma({0.5: float("nan"), 0.1: float("nan")}) == 0.1
 
     def test_empty_errors(self):
         with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _helpers import collapse_linear, gradient_check, traced_peak
 from _oracles import mlp_backward, mlp_forward
+import gasnorm.mlp as mlp_mod
 from gasnorm import Activation, MlpSpec, TrainedModel, predict, train
 from gasnorm.errors import NumericalError, ValidationError, from_keys, to_json
 from gasnorm.mlp import PATIENCE, _backward, _layers, _output, init_layers
@@ -70,6 +71,37 @@ class TestTrain:
     def test_empty_pairs_error(self):
         with pytest.raises(ValidationError):
             train(MlpSpec(), np.empty((0, 4, 2)), np.empty((0, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "val_contexts, val_targets",
+        [((5, 3, 2), (5, 2, 2)), ((5, 4, 2), (5, 1, 2)), ((5, 4, 2), (5, 2, 1))],
+        ids=["context_length", "horizon", "targets_width"],
+    )
+    def test_val_windows_of_another_shape_are_rejected_before_training(
+        self, monkeypatch, val_contexts, val_targets
+    ):
+        rng = np.random.default_rng(0)
+        contexts, targets = rng.normal(size=(20, 4, 2)), rng.normal(size=(20, 2, 2))
+        val = (rng.normal(size=val_contexts), rng.normal(size=val_targets))
+        # no epoch runs: the check comes before the first forward pass
+        monkeypatch.setattr(mlp_mod, "_layers", None)
+        with pytest.raises(ValidationError) as info:
+            train(MlpSpec((4,), epochs=2), contexts, targets, val=val)
+        message = str(info.value)
+        assert str((val_contexts[1:], val_targets[1:])) in message
+        assert str(((4, 2), (2, 2))) in message
+
+    @pytest.mark.parametrize("where", ["contexts", "targets", "val contexts", "val targets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_are_rejected(self, where, bad):
+        contexts, targets = linear_pairs(n=20, seed=1)
+        val_contexts, val_targets = linear_pairs(n=10, seed=2)
+        arrays = {"contexts": contexts, "targets": targets,
+                  "val contexts": val_contexts, "val targets": val_targets}
+        arrays[where][3, 1, 0] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            train(MlpSpec((4,), epochs=50), contexts, targets,
+                  val=(val_contexts, val_targets))
 
     def test_divergence_is_a_numerical_error_without_warnings(self):
         pairs = linear_pairs(n=40, seed=6)
