@@ -242,9 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # stdout is UTF-8 like every file the CLI writes, whatever the locale says
-    if hasattr(sys.stdout, "reconfigure") and sys.stdout.encoding.lower() != "utf-8":
-        sys.stdout.reconfigure(encoding="utf-8")
+    # stdout and stderr are UTF-8 like every file the CLI writes, whatever the locale says,
+    # until main returns. Each keeps its error handler: the locale's surrogateescape, say,
+    # prints the bytes of an undecodable path argument as they came in.
+    streams = {s: s.encoding for s in (sys.stdout, sys.stderr)
+               if hasattr(s, "reconfigure") and s.encoding.lower() != "utf-8"}
+    for stream in streams:
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -254,6 +258,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for stream, encoding in streams.items():
+            stream.reconfigure(encoding=encoding, errors=stream.errors)
 
 
 if __name__ == "__main__":

@@ -166,8 +166,9 @@ def train(spec: MlpSpec, contexts, targets, val=None) -> TrainedModel:
         val_shapes = np.shape(val[0])[1:], np.shape(val[1])[1:]
         if val_shapes != shapes:
             raise ValidationError(f"val window shapes {val_shapes} differ from training {shapes}")
-    if not all(np.isfinite(a).all() for a in (X, Y, Xv, Yv) if a is not None):
-        raise ValidationError("contexts, targets and val must be finite")
+    for name, rows in (("contexts", X), ("targets", Y), ("val contexts", Xv), ("val targets", Yv)):
+        if rows is not None and not np.isfinite(rows).all():
+            raise ValidationError(f"{name} hold a non-finite value")
     best_val = np.inf
     best_snapshot = None
     stall = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_fields, write_json
+from .errors import NumericalError, ValidationError, check_fields, write_json
 from .filtering import (
     VARIANCE_FLOOR,
     GasParams,
@@ -204,13 +204,17 @@ def save_batch(batch: NormalizedBatch, stem) -> None:
 
     Files: ``<stem>_normalized.csv`` (the normalized context),
     ``<stem>_stats.csv`` (long format: phase, step, feature, mu, scale),
-    ``<stem>.json`` (normalizer id and shapes).
+    ``<stem>.json`` (normalizer id and shapes). A context that the
+    normalizer overflowed to a non-finite value is a NumericalError.
     """
     if batch.normalized_context.ndim != 2:
         raise ValidationError("save_batch writes one (T, k) window, not a stack")
     names = batch.feature_names
+    path = f"{stem}_normalized.csv"
+    if not np.isfinite(batch.normalized_context).all():
+        raise NumericalError(f"{path}: {batch.normalizer_id.value} made the context non-finite")
     # a view, so the frame's read-only flag stays off the batch's own array
-    write_csv(SeriesFrame(batch.normalized_context.view(), names), f"{stem}_normalized.csv")
+    write_csv(SeriesFrame(batch.normalized_context.view(), names), path)
     with open(f"{stem}_stats.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("phase,step,feature,mu,scale\n")
         for phase, mu, scale in (

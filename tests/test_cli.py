@@ -812,11 +812,17 @@ def test_files_and_eval_output_are_utf8_whatever_the_locale(tmp_path):
     out = fresh_interpreter(
         r"""
         import os
+        import sys
         from gasnorm import load_csv, write_csv
         from gasnorm.cli import main
 
         os.chdir(os.environ["WORKDIR"])
         NAME = "caf\u00e9"
+        # a UTF-8 directory name as the ASCII locale passes it in argv: undecodable bytes
+        # as lone surrogates, which the CLI must print back as the same bytes
+        OUT = os.fsdecode(NAME.encode("utf-8"))
+        assert OUT != NAME, OUT
+        encodings = sys.stdout.encoding, sys.stderr.encoding
 
         def write(name, text):
             with open(name, "wb") as fh:
@@ -831,17 +837,27 @@ def test_files_and_eval_output_are_utf8_whatever_the_locale(tmp_path):
         # by hand, so the name is stored as raw UTF-8 bytes, not as a JSON escape
         write("params.json", '{"%s": {"params": {"gamma": 0.5}, "objective": -1.0, '
                              '"iterations": 0, "converged": false, "evaluations": 1}}' % NAME)
-        argv = ["normalize", "copy.csv", "--params", "params.json", "--output-dir", "out"]
+        argv = ["normalize", "copy.csv", "--params", "params.json", "--output-dir", OUT]
         assert main(argv) == 0
-        for name in ("out/batch_normalized.csv", "out/batch_stats.csv"):
-            assert NAME.encode("utf-8") in open(name, "rb").read()
+        for name in ("batch_normalized.csv", "batch_stats.csv"):
+            assert NAME.encode("utf-8") in open(os.path.join(OUT, name), "rb").read()
         assert main(["eval", "--actual", "train.csv", "--forecast", "forecast.csv",
                      "--train", "copy.csv"]) == 0
+        sys.stdout.flush()
+        os.dup2(1, 2)  # from here on stderr joins stdout, so the test reads both
+        # 8 steps are too few to fit: the error names the feature
+        assert main(["fit", "train.csv", "--output-dir", OUT]) == 1
+        # main hands the streams back with the encodings it found
+        assert (sys.stdout.encoding, sys.stderr.encoding) == encodings
         """,
         env={**ASCII_LOCALE, "WORKDIR": str(tmp_path), "ACTUAL": " ".join(map(str, actual))},
     )
     want = mase(np.array(actual)[:, None], np.full((8, 1), 2.0), np.array(actual)[:, None])
-    assert out.splitlines()[-1] == f"café,{want[0]:.17g}"
+    assert out.splitlines() == [
+        os.path.join("café", "batch_normalized.csv"),
+        f"café,{want[0]:.17g}",
+        "error: 1 of 1 features failed to fit: café: need at least 10 observations to fit, got 8",
+    ]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])
@@ -858,6 +874,21 @@ def test_filter_blow_up_exits_two(tmp_path, capsys, family):
     assert code == 2
     assert out == ""
     assert err == "numerical failure: filter state became non-finite at timestep 1\n"
+
+
+def test_normalizer_overflow_exits_two_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    # mean scaling divides by the window mean, 1e-8 here, which sends 1e301 past the float range
+    data.write_text("y\n1e301\n-1e301\n3e-8\n")
+    out_dir = tmp_path / "out"
+    argv = ["normalize", str(data), "--normalizer", "mean_scaling", "--output-dir", str(out_dir)]
+    with np.errstate(over="ignore"):
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    path = out_dir / "batch_normalized.csv"
+    assert err == f"numerical failure: {path}: mean_scaling made the context non-finite\n"
+    assert not path.exists()
 
 
 def _json_kind(value) -> str:

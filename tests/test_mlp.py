@@ -99,7 +99,7 @@ class TestTrain:
         arrays = {"contexts": contexts, "targets": targets,
                   "val contexts": val_contexts, "val targets": val_targets}
         arrays[where][3, 1, 0] = bad
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match=f"^{where} hold a non-finite value$"):
             train(MlpSpec((4,), epochs=50), contexts, targets,
                   val=(val_contexts, val_targets))
 
