@@ -186,23 +186,60 @@ def _nelder_mead(func, x0, lo, hi, max_iters: int, args: tuple):
     return sim[0], np.min(fsim), iterations, nfev, iterations < max_iters
 
 
-def _run_restarts(tasks: list[tuple]) -> list[tuple]:
-    """``_nelder_mead(*task)`` for every task, in task order.
+_IN_POOL_WORKER = False
 
-    The tasks run in forked worker processes, one per usable core and at
-    most one per task; a spawned or forkserver worker would re-import numpy
-    and gasnorm, which costs more than half of one restart. With one worker,
-    or where fork is unavailable, they run in this process.
+
+def _mark_pool_worker() -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+
+
+def usable_cores() -> int:
+    """The cores a ``fork_pool`` made here would use; 1 where it makes none.
+
+    That is the affinity mask's size (``os.sched_getaffinity``), or 1 where
+    fork or the mask is unavailable, or inside a ``fork_pool``'s own worker,
+    so that no pool nests inside another.
     """
+    import multiprocessing
+
+    if (_IN_POOL_WORKER or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def fork_pool(tasks: int, spare: int = 0):
+    """A process pool for ``tasks`` tasks, or None where they should run in this process.
+
+    The pool has one worker per task, but at most ``spare`` more than the
+    ``usable_cores``; there is no pool where only one is usable. Its workers
+    are forked: a spawned or forkserver worker would re-import numpy and
+    gasnorm, which costs more than half of one restart.
+    """
+    cores = usable_cores()
+    if cores < 2:
+        return None
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = 1
-    if "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity"):
-        workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if workers == 1:
+    return ProcessPoolExecutor(min(tasks, cores + spare), initializer=_mark_pool_worker,
+                               mp_context=multiprocessing.get_context("fork"))
+
+
+def _run_restarts(tasks: list[tuple]) -> list[tuple]:
+    """``_nelder_mead(*task)`` for every task, in task order.
+
+    The tasks run in a ``fork_pool``, one worker per usable core and at
+    most one per task. With one task or one usable core, where fork is
+    unavailable, and inside a ``fork_pool``'s worker (such as an
+    experiment's fit), they run in this process, so no pool nests inside
+    another.
+    """
+    pool = fork_pool(len(tasks)) if len(tasks) > 1 else None
+    if pool is None:
         return list(map(_nelder_mead, *zip(*tasks)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with pool:
         return list(pool.map(_nelder_mead, *zip(*tasks)))
 
 
@@ -212,8 +249,9 @@ def fit(ys, config: FitConfig) -> FitResult:
     The initial state is pinned to the training-set unconditional mean
     and (floored) variance. Restarts perturb the initial point by up to
     +/-50% multiplicatively and run in parallel worker processes, one per
-    usable core; the returned objective never falls below the one at the
-    unperturbed initialization.
+    usable core, or in this process inside a ``fork_pool``'s worker (``_run_restarts``);
+    the returned objective never falls below the one at the unperturbed
+    initialization.
     """
     ys = one_series(ys)
     if ys.size < 10:

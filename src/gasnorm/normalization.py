@@ -185,7 +185,9 @@ def normalize(spec: NormalizerSpec, context, horizon: int, feature_names=None) -
         c_mu, c_scale = _steps(mu, ctx, ctx.shape[-2]), _steps(scale, ctx, ctx.shape[-2])
         h_mu, h_scale = _steps(mu, ctx, horizon), _steps(scale, ctx, horizon)
     normalized = np.subtract(ctx, c_mu)
-    normalized /= c_scale
+    # an overflow is left as inf, for the caller to report: save_batch names it
+    with np.errstate(over="ignore"):
+        normalized /= c_scale
     return NormalizedBatch(normalized, c_mu, c_scale, h_mu, h_scale, spec.kind, names, fallback)
 
 

@@ -782,6 +782,7 @@ def test_a_run_without_a_fit_loads_neither_the_optimizer_nor_a_process_pool():
     out = fresh_interpreter(
         """
         import sys
+        from dataclasses import replace
         import gasnorm.cli
         from gasnorm import ArSpec, ExperimentSpec, MlpSpec, SplitSpec, run_experiment
 
@@ -792,6 +793,8 @@ def test_a_run_without_a_fit_loads_neither_the_optimizer_nor_a_process_pool():
             split=SplitSpec(0.6, 0.2, context_length=10, horizon=2),
         )
         run_experiment(spec)
+        # gamma 0 needs no search, so gas_norm at gamma 0 alone fits in this process
+        run_experiment(replace(spec, normalizers=("gas_norm",), gammas=(0.0,)))
         print(sorted({"scipy.optimize", "concurrent.futures.process"} & set(sys.modules)))
         """
     )
@@ -876,14 +879,15 @@ def test_filter_blow_up_exits_two(tmp_path, capsys, family):
     assert err == "numerical failure: filter state became non-finite at timestep 1\n"
 
 
+@pytest.mark.filterwarnings("error")
 def test_normalizer_overflow_exits_two_naming_the_file(tmp_path, capsys):
     data = tmp_path / "d.csv"
     # mean scaling divides by the window mean, 1e-8 here, which sends 1e301 past the float range
     data.write_text("y\n1e301\n-1e301\n3e-8\n")
     out_dir = tmp_path / "out"
     argv = ["normalize", str(data), "--normalizer", "mean_scaling", "--output-dir", str(out_dir)]
-    with np.errstate(over="ignore"):
-        code, out, err = run(argv, capsys)
+    # numpy's default error state: an overflow warning would raise here, as an error
+    code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     path = out_dir / "batch_normalized.csv"

@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,13 @@ from gasnorm import (
     ArSpec,
     EvalReport,
     ExperimentSpec,
+    FitConfig,
     LorenzSpec,
     MlpSpec,
     SeriesFrame,
     SplitSpec,
     emit_report,
+    fit,
     gen_ar,
     mase,
     run_experiment,
@@ -24,6 +30,7 @@ from gasnorm import (
     write_csv,
 )
 import gasnorm.evaluation as evaluation_mod
+import gasnorm.fitting as fitting_mod
 from gasnorm.errors import FitError, NumericalError, ValidationError
 from gasnorm.evaluation import ReportRow, load_dataset
 from gasnorm.series import split, windows
@@ -342,6 +349,128 @@ class TestRunExperiment:
         row = run_experiment(spec).row("local_norm")
         vals = np.asarray(row.per_seed)
         assert row.mase_stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(3))
+
+
+def _fit_counting_objective_calls(ys, config):
+    """Run in a pool worker: the fit, and the objective calls made in this process."""
+    calls = []
+    real = fitting_mod.penalized_objective
+    fitting_mod.penalized_objective = lambda params, ys: calls.append(1) or real(params, ys)
+    return fit(ys, config), len(calls)
+
+
+def _pool_made_here(queue):
+    """Run in a child that is no pool's worker: whether it may start a pool."""
+    pool = fitting_mod.fork_pool(2)
+    queue.put(pool is not None)
+    if pool is not None:
+        pool.shutdown()
+
+
+class TestExperimentPool:
+    """Every gamma > 0 fit runs in a pool started before the first cell, when cores
+    allow and there are no fewer fits than restarts a fit would run at once."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Whether each ``fork_pool`` call of the experiment made a pool."""
+        made = []
+
+        def recorded(*args, **kwargs):
+            pool = fitting_mod.fork_pool(*args, **kwargs)
+            made.append(pool is not None)
+            return pool
+
+        monkeypatch.setattr(evaluation_mod, "fork_pool", recorded)
+        return made
+
+    def reports(self, monkeypatch, tmp_path, spec) -> list[list[bytes]]:
+        """report.json and report.csv with one usable core (no pool), then with two."""
+        files = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            csv_path, json_path = emit_report(run_experiment(spec), tmp_path / f"{len(cores)}")
+            files.append([Path(p).read_bytes() for p in (json_path, csv_path)])
+        return files
+
+    @pytest.mark.parametrize("normalizers", [
+        ("gas_norm", "global_norm", "local_norm", "mean_scaling"),
+        ("global_norm", "local_norm", "mean_scaling", "gas_norm"),
+    ])
+    def test_the_report_is_the_same_with_and_without_the_pool(
+        self, monkeypatch, tmp_path, pools, normalizers
+    ):
+        spec = tiny_spec(normalizers=normalizers, gammas=(0.5, 0.0, 0.9), seeds=(0, 1))
+        one_core, two_cores = self.reports(monkeypatch, tmp_path, spec)
+        assert pools == [False, True]
+        assert one_core == two_cores
+
+    def test_a_fit_that_fails_in_a_worker_is_the_same_cell_error(
+        self, monkeypatch, tmp_path, pools
+    ):
+        # the training variance is finite, but the objective at the start is not
+        ys = np.zeros(300)
+        ys[150] = 1e154
+        path = tmp_path / "spike.csv"
+        write_csv(SeriesFrame(ys, ["y"]), path)
+        spec = tiny_spec(dataset=str(path), normalizers=("gas_norm",), gammas=(0.99,))
+        one_core, two_cores = self.reports(monkeypatch, tmp_path, spec)
+        assert pools == [False, True]
+        assert one_core == two_cores
+        (row,) = json.loads(two_cores[0])["rows"]
+        assert row["error"] == (
+            "1 of 1 features failed to fit: y: objective is non-finite at the initialization point"
+        )
+
+    def test_a_config_without_a_search_starts_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(tiny_spec(gammas=(0.0,)))
+        assert pools == []
+
+    @pytest.mark.parametrize("gammas, restarts, made", [
+        ((0.5,), 1, [True]),
+        ((0.5,), 2, []),  # one fit here runs both restarts at once on the two cores
+        ((0.0, 0.5, 0.9), 2, [True]),
+        ((0.5, 0.9), 4, [True]),
+    ])
+    def test_the_pool_starts_only_with_as_many_fits_as_concurrent_restarts(
+        self, monkeypatch, pools, gammas, restarts, made
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(tiny_spec(normalizers=("gas_norm",), gammas=gammas,
+                                 fit_restarts=restarts, fit_max_iters=5))
+        assert pools == made
+
+    def test_the_pool_has_one_worker_per_fit_up_to_one_more_than_the_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda workers, **kwargs: sizes.append(workers))
+        for tasks in (1, 3, 40):
+            fitting_mod.fork_pool(tasks, spare=1)
+        assert sizes == [1, 3, 3]
+
+    def test_a_fit_in_a_pool_worker_starts_no_pool_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ys = gen_ar(ArSpec(length=150, trend_slope=0.05, seed=2)).values[:, 0]
+        config = FitConfig(gamma=0.4, nu=20.0, restarts=3, seed=5, max_iters=120)
+        pool = fitting_mod.fork_pool(1)
+        assert pool is not None
+        with pool:
+            result, calls = pool.submit(_fit_counting_objective_calls, ys, config).result(60)
+        # every restart's objective calls ran in the worker itself
+        assert calls == result.evaluations > 1
+        assert result == fit(ys, config)
+
+    def test_a_child_process_that_is_no_pool_worker_may_start_a_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_pool_made_here, args=(queue,))
+        child.start()
+        made = queue.get(timeout=60)
+        child.join(60)
+        assert made
 
 
 class TestReportIo:
