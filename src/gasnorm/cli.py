@@ -105,6 +105,9 @@ def _normalized(args):
 
 
 def _cmd_normalize(args) -> int:
+    # the stem names files inside --output-dir
+    if not args.stem or os.path.basename(args.stem) != args.stem:
+        raise ValidationError(f"--stem must be a file name without a directory, got {args.stem!r}")
     _, batch = _normalized(args)
     stem = _out(args, args.stem)
     save_batch(batch, stem)

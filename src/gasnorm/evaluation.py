@@ -10,8 +10,8 @@ import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, dataset_kind, gen_ar, gen_lorenz
 from .errors import ValidationError, check_at_least, check_fields, write_json
-from .filtering import Family, GasParams
-from .fitting import FitConfig, fit_frame, fork_pool, usable_cores
+from .filtering import Family
+from .fitting import FitConfig, fit_frame, fork_pool, start_fits
 from .mlp import MlpSpec, predict, train
 from .normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
 from .series import SeriesFrame, SplitSpec, as_columns, csv_line, load_csv, split, windows
@@ -180,18 +180,6 @@ def _evaluate_normalizer(
     return scores, error
 
 
-def _fit_params(spec: ExperimentSpec, frame: SeriesFrame, gamma: float) -> dict[str, GasParams]:
-    """gas_norm's fitted params per feature at ``gamma``.
-
-    Module-level so that a pool worker can run it. It looks ``fit_frame``
-    up in the process that runs the fit, so a pool pickles only this
-    function's name, never a wrapper installed around ``fit_frame``.
-    """
-    config = FitConfig(gamma=gamma, family=spec.family, nu=spec.nu, seed=spec.fit_seed,
-                       restarts=spec.fit_restarts, max_iters=spec.fit_max_iters)
-    return {n: r.params for n, r in fit_frame(frame, config).items()}
-
-
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
     """Fit, normalize, train and score every (normalizer, gamma, seed) cell.
 
@@ -205,12 +193,11 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     ``mase_seasonality`` that is not below the training length would fail
     every cell, so it raises before any fit runs.
 
-    When there are at least as many gamma > 0 fits as restarts a fit would
-    run at once, every one of them starts in a ``fork_pool`` before any cell
-    runs; the cells that need no search run while the pool fits, then each
-    gamma > 0 cell takes its params from its fit. Otherwise, or where there
-    is no pool, each fit runs in this process, in config order. Either way
-    the report is the same, bit for bit.
+    Every (gamma, feature, restart) search starts on one ``fork_pool``
+    before the first cell; the cells that need no search (the baselines and
+    gamma 0) run while the pool searches, then each gamma > 0 cell collects
+    its fits. With no pool each search runs when its cell asks for it. Either
+    way the report is the same, bit for bit.
     """
     data, dataset_id = load_dataset(spec.dataset)
     train_f, val_f, test_f = split(data, spec.split)
@@ -226,37 +213,25 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
 
     cells = [(kind, gamma) for kind in spec.normalizers
              for gamma in (spec.gammas if kind is NormalizerKind.GAS_NORM else (None,))]
-    searched = [gamma for _, gamma in cells if gamma is not None and gamma > 0]
-    pool = None
-    # a fit in a pool worker runs its restarts one after another, where a fit in
-    # this process runs up to min(restarts, cores) of them at once; with fewer
-    # searches than that, the pool would be slower than fitting here
-    if searched and len(searched) >= min(spec.fit_restarts, usable_cores()):
-        # one worker per search, but at most one more than the cores: this process
-        # trains the cells that need no search meanwhile, and only later waits on
-        # the fits, so a spare worker keeps the cores busy; more would only queue
-        pool = fork_pool(len(searched), spare=1)
+    configs = {gamma: FitConfig(gamma=gamma, family=spec.family, nu=spec.nu, seed=spec.fit_seed,
+                                restarts=spec.fit_restarts, max_iters=spec.fit_max_iters)
+               for _, gamma in cells if gamma is not None}
+    searched = [gamma for gamma, config in configs.items() if config.searches]
     outcomes = {}
-    try:
-        fits = {}
-        if pool is not None:
-            fits = {g: pool.submit(_fit_params, spec, train_f, g) for g in searched}
-        for kind, gamma in sorted(cells, key=lambda cell: cell[1] in fits):
+    with fork_pool(data.n_features * sum(c.searches for c in configs.values())) as pool:
+        started = {gamma: start_fits(train_f, config, pool) for gamma, config in configs.items()}
+        for kind, gamma in sorted(cells, key=lambda cell: cell[1] in searched):
             try:
                 params = None
-                if gamma in fits:
-                    params = fits[gamma].result()
-                elif gamma is not None:
-                    params = _fit_params(spec, train_f, gamma)
+                if gamma is not None:
+                    fits = fit_frame(train_f, configs[gamma], started[gamma])
+                    params = {name: result.params for name, result in fits.items()}
                 nspec = NormalizerSpec.for_frame(kind, train_f, params)
                 outcomes[kind, gamma] = _evaluate_normalizer(
                     spec, nspec, segments, data.feature_names, train_f.values
                 )
             except (ValidationError, ArithmeticError) as exc:
                 outcomes[kind, gamma] = {}, str(exc)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     rows: list[ReportRow] = []
     gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}

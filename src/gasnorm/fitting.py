@@ -5,8 +5,8 @@ against an information-weighted penalty on how far each update step
 moved the state, weighted gamma vs (1 - gamma). It is maximized per
 feature with a bounded Nelder-Mead simplex search and multiplicative
 multi-start, which copes with the non-smoothness near the stability
-boundary without needing gradients. The restarts are independent and
-run in parallel worker processes.
+boundary without needing gradients. The restarts are independent
+searches, and a pool of worker processes runs them in parallel.
 
 The simplex search is this module's own transcription of scipy's, so the
 package needs no scipy at run time; the tests hold it to scipy's results
@@ -16,7 +16,9 @@ bit for bit.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +44,12 @@ class FitConfig:
         check_at_least(self, seed=0, restarts=1, max_iters=1)
         if self.fit_nu and self.family is Family.GAUSSIAN:
             raise ValidationError("fit_nu needs the student_t family: a gaussian fit has no nu")
+
+    @property
+    def searches(self) -> int:
+        """The restart searches a fit runs: none at gamma 0, where the objective is
+        identically 0, so no move can beat the initial point."""
+        return self.restarts if self.gamma > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -186,72 +194,41 @@ def _nelder_mead(func, x0, lo, hi, max_iters: int, args: tuple):
     return sim[0], np.min(fsim), iterations, nfev, iterations < max_iters
 
 
-_IN_POOL_WORKER = False
+@contextmanager
+def fork_pool(searches: int):
+    """A process pool for ``searches`` restart searches, or None where they run in this process.
 
-
-def _mark_pool_worker() -> None:
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
-
-
-def usable_cores() -> int:
-    """The cores a ``fork_pool`` made here would use; 1 where it makes none.
-
-    That is the affinity mask's size (``os.sched_getaffinity``), or 1 where
-    fork or the mask is unavailable, or inside a ``fork_pool``'s own worker,
-    so that no pool nests inside another.
+    The pool has one worker per usable core (``os.sched_getaffinity``, which
+    only platforms with fork have), but at most one per search. There is
+    none for fewer than two searches or with one usable core; then nothing
+    is imported. Its workers are forked: a spawned or forkserver worker
+    would re-import numpy and gasnorm, which costs more than half of one
+    restart. A worker only ever runs ``_nelder_mead``, so no pool starts
+    inside another. On exit the searches not yet begun are cancelled.
     """
-    import multiprocessing
-
-    if (_IN_POOL_WORKER or not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def fork_pool(tasks: int, spare: int = 0):
-    """A process pool for ``tasks`` tasks, or None where they should run in this process.
-
-    The pool has one worker per task, but at most ``spare`` more than the
-    ``usable_cores``; there is no pool where only one is usable. Its workers
-    are forked: a spawned or forkserver worker would re-import numpy and
-    gasnorm, which costs more than half of one restart.
-    """
-    cores = usable_cores()
-    if cores < 2:
-        return None
+    workers = min(searches, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if workers < 2:
+        yield None
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(min(tasks, cores + spare), initializer=_mark_pool_worker,
-                               mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _run_restarts(tasks: list[tuple]) -> list[tuple]:
-    """``_nelder_mead(*task)`` for every task, in task order.
+def start_fit(ys, config: FitConfig, pool=None) -> tuple:
+    """Check one feature's training series, evaluate the initial point and begin the restarts.
 
-    The tasks run in a ``fork_pool``, one worker per usable core and at
-    most one per task. With one task or one usable core, where fork is
-    unavailable, and inside a ``fork_pool``'s worker (such as an
-    experiment's fit), they run in this process, so no pool nests inside
-    another.
-    """
-    pool = fork_pool(len(tasks)) if len(tasks) > 1 else None
-    if pool is None:
-        return list(map(_nelder_mead, *zip(*tasks)))
-    with pool:
-        return list(pool.map(_nelder_mead, *zip(*tasks)))
-
-
-def fit(ys, config: FitConfig) -> FitResult:
-    """Maximize the penalized objective for one feature's training series.
-
-    The initial state is pinned to the training-set unconditional mean
-    and (floored) variance. Restarts perturb the initial point by up to
-    +/-50% multiplicatively and run in parallel worker processes, one per
-    usable core, or in this process inside a ``fork_pool``'s worker (``_run_restarts``);
-    the returned objective never falls below the one at the unperturbed
-    initialization.
+    The initial state is pinned to the training-set unconditional mean and
+    (floored) variance. Restarts perturb the initial point by up to +/-50%
+    multiplicatively. Each restart's search is submitted to ``pool``, a
+    ``fork_pool``; with no pool it runs in this process when ``fit`` asks for
+    its result. Returns the template params, the initial point, the objective
+    there, and per restart a call that returns its ``_nelder_mead`` result.
     """
     ys = one_series(ys)
     if ys.size < 10:
@@ -276,18 +253,28 @@ def fit(ys, config: FitConfig) -> FitResult:
     init_objective = -_negative(x0, template, fit_nu, ys)
     if not np.isfinite(init_objective):
         raise FitError("objective is non-finite at the initialization point")
-    if config.gamma == 0.0:
-        # the objective is identically 0 at gamma = 0: no move can beat the initial point
-        return FitResult(_to_params(x0, template, fit_nu), init_objective, 0, False, 1)
 
     rng = np.random.default_rng(config.seed)
-    starts = [x0]
-    for _ in range(config.restarts - 1):
-        factors = rng.uniform(0.5, 1.5, size=x0.shape)
-        starts.append(np.clip(x0 * factors, lo, hi))
+    starts = [x0 if i == 0 else np.clip(x0 * rng.uniform(0.5, 1.5, size=x0.shape), lo, hi)
+              for i in range(config.searches)]
+    tasks = [(_negative, s, lo, hi, config.max_iters, (template, fit_nu, ys)) for s in starts]
+    searches = [partial(_nelder_mead, *task) if pool is None
+                else pool.submit(_nelder_mead, *task).result for task in tasks]
+    return template, x0, init_objective, searches
 
-    args = (template, fit_nu, ys)
-    results = _run_restarts([(_negative, s, lo, hi, config.max_iters, args) for s in starts])
+
+def fit(ys, config: FitConfig, started: tuple | None = None) -> FitResult:
+    """Maximize the penalized objective for one feature's training series.
+
+    ``started`` is ``start_fit(ys, config, pool)`` from a caller that has
+    already begun the searches; without it the fit begins its own, on a
+    ``fork_pool`` of its own. The fit waits for every restart and keeps the
+    best; the returned objective never falls below the one at the
+    unperturbed initialization.
+    """
+    with fork_pool(0 if started else config.searches) as pool:
+        template, x0, init_objective, searches = started or start_fit(ys, config, pool)
+        results = [search() for search in searches]
 
     # the initial point was not reached by an optimizer, so it has not converged
     best = (init_objective, x0, 0, False)
@@ -298,23 +285,42 @@ def fit(ys, config: FitConfig) -> FitResult:
     objective, x, iterations, converged = best
     evaluations = 1 + sum(nfev for _, _, _, nfev, _ in results)
     return FitResult(
-        _to_params(x, template, fit_nu), objective, iterations, converged, evaluations
+        _to_params(x, template, config.fit_nu), objective, iterations, converged, evaluations
     )
 
 
-def fit_frame(frame: SeriesFrame, config: FitConfig) -> dict[str, FitResult]:
-    """Independent per-feature fits; one error names every feature that failed, and why."""
-    results: dict[str, FitResult] = {}
-    errors: dict[str, Exception] = {}
+def start_fits(frame: SeriesFrame, config: FitConfig, pool=None) -> dict:
+    """``start_fit`` for every feature: its started fit, or the error that stopped it."""
+    started: dict = {}
     for name in frame.feature_names:
         try:
-            results[name] = fit(frame.feature(name), config)
+            started[name] = start_fit(frame.feature(name), config, pool)
         except (ValidationError, ArithmeticError) as exc:
-            errors[name] = exc
+            started[name] = exc
+    return started
+
+
+def fit_frame(frame: SeriesFrame, config: FitConfig,
+              started: dict | None = None) -> dict[str, FitResult]:
+    """Independent per-feature fits; one error names every feature that failed, and why.
+
+    ``started`` is ``start_fits(frame, config, pool)`` from a caller that has
+    already begun the searches; without it every feature's searches begin
+    on one ``fork_pool``.
+    """
+    results: dict[str, FitResult] = {}
+    errors: dict[str, Exception] = {}
+    with fork_pool(0 if started else frame.n_features * config.searches) as pool:
+        for name, begun in (started or start_fits(frame, config, pool)).items():
+            try:
+                if isinstance(begun, Exception):
+                    raise begun
+                results[name] = fit(frame.feature(name), config, begun)
+            except (ValidationError, ArithmeticError) as exc:
+                errors[name] = exc
     if errors:
         reasons = "; ".join(f"{name}: {exc}" for name, exc in errors.items())
         invalid = all(isinstance(exc, ValidationError) for exc in errors.values())
         error = ValidationError if invalid else FitError
         raise error(f"{len(errors)} of {frame.n_features} features failed to fit: {reasons}")
     return results
-

@@ -2,10 +2,12 @@
 
 They build inputs for the shift, outlier and trend tests, check the
 MLP's backprop, read CSV text, draw frames for the CSV writer tests,
-measure the memory a call allocates and run code in a fresh interpreter;
-the pipeline itself needs none of them.
+measure the memory a call allocates, record the process pools a run
+makes and run code in a fresh interpreter; the pipeline itself needs
+none of them.
 """
 
+import concurrent.futures
 import io
 import math
 import os
@@ -71,6 +73,24 @@ def traced_peak(fn, *args):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def record_pools(monkeypatch) -> list[list]:
+    """Per process pool made from here on: its worker count, then each submitted task's name."""
+    pools = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            self.record = [workers]
+            pools.append(self.record)
+            super().__init__(workers, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            self.record.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return pools
 
 
 def fresh_interpreter(code: str, env=None) -> str:

@@ -450,6 +450,15 @@ class TestInvalidInputExitsOne:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("stem", ["", "sub/batch", "sub/"])
+    def test_a_stem_that_is_no_file_name(self, small_csv, tmp_path, capsys, stem):
+        out = tmp_path / "out"
+        code, _, err = run(["normalize", small_csv, "--normalizer", "local_norm",
+                            "--stem", stem, "--output-dir", str(out)], capsys)
+        assert code == 1
+        assert f"--stem must be a file name without a directory, got {stem!r}" in err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         code, _, err = run(["fit", missing, "--output-dir", str(tmp_path)], capsys)
@@ -795,7 +804,8 @@ def test_a_run_without_a_fit_loads_neither_the_optimizer_nor_a_process_pool():
         run_experiment(spec)
         # gamma 0 needs no search, so gas_norm at gamma 0 alone fits in this process
         run_experiment(replace(spec, normalizers=("gas_norm",), gammas=(0.0,)))
-        print(sorted({"scipy.optimize", "concurrent.futures.process"} & set(sys.modules)))
+        loaded = {"scipy.optimize", "concurrent.futures.process", "multiprocessing"}
+        print(sorted(loaded & set(sys.modules)))
         """
     )
     assert out == "[]\n"

@@ -1,8 +1,7 @@
-import concurrent.futures
+import contextlib
 import csv
 import json
 import math
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -15,13 +14,11 @@ from gasnorm import (
     ArSpec,
     EvalReport,
     ExperimentSpec,
-    FitConfig,
     LorenzSpec,
     MlpSpec,
     SeriesFrame,
     SplitSpec,
     emit_report,
-    fit,
     gen_ar,
     mase,
     run_experiment,
@@ -29,6 +26,8 @@ from gasnorm import (
     to_json,
     write_csv,
 )
+from _helpers import record_pools
+
 import gasnorm.evaluation as evaluation_mod
 import gasnorm.fitting as fitting_mod
 from gasnorm.errors import FitError, NumericalError, ValidationError
@@ -305,10 +304,10 @@ class TestRunExperiment:
         )
         normalizing = []
 
-        def fit_fails_at_half(frame, config):
+        def fit_fails_at_half(frame, config, started=None):
             if config.gamma == 0.5:
                 raise FitError("objective is non-finite at the initialization point")
-            return real_fit(frame, config)
+            return real_fit(frame, config, started)
 
         def normalize_fails_local(nspec, *args):
             if nspec.kind.value == "local_norm":
@@ -351,35 +350,20 @@ class TestRunExperiment:
         assert row.mase_stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(3))
 
 
-def _fit_counting_objective_calls(ys, config):
-    """Run in a pool worker: the fit, and the objective calls made in this process."""
-    calls = []
-    real = fitting_mod.penalized_objective
-    fitting_mod.penalized_objective = lambda params, ys: calls.append(1) or real(params, ys)
-    return fit(ys, config), len(calls)
-
-
-def _pool_made_here(queue):
-    """Run in a child that is no pool's worker: whether it may start a pool."""
-    pool = fitting_mod.fork_pool(2)
-    queue.put(pool is not None)
-    if pool is not None:
-        pool.shutdown()
-
-
 class TestExperimentPool:
-    """Every gamma > 0 fit runs in a pool started before the first cell, when cores
-    allow and there are no fewer fits than restarts a fit would run at once."""
+    """Every (gamma, feature, restart) search starts on one pool before the first cell,
+    where cores allow; the cells that need no search run meanwhile."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
         """Whether each ``fork_pool`` call of the experiment made a pool."""
         made = []
 
-        def recorded(*args, **kwargs):
-            pool = fitting_mod.fork_pool(*args, **kwargs)
-            made.append(pool is not None)
-            return pool
+        @contextlib.contextmanager
+        def recorded(searches):
+            with fitting_mod.fork_pool(searches) as pool:
+                made.append(pool is not None)
+                yield pool
 
         monkeypatch.setattr(evaluation_mod, "fork_pool", recorded)
         return made
@@ -405,7 +389,7 @@ class TestExperimentPool:
         assert pools == [False, True]
         assert one_core == two_cores
 
-    def test_a_fit_that_fails_in_a_worker_is_the_same_cell_error(
+    def test_a_fit_that_fails_is_the_same_cell_error_with_the_pool(
         self, monkeypatch, tmp_path, pools
     ):
         # the training variance is finite, but the objective at the start is not
@@ -413,7 +397,8 @@ class TestExperimentPool:
         ys[150] = 1e154
         path = tmp_path / "spike.csv"
         write_csv(SeriesFrame(ys, ["y"]), path)
-        spec = tiny_spec(dataset=str(path), normalizers=("gas_norm",), gammas=(0.99,))
+        spec = tiny_spec(dataset=str(path), normalizers=("gas_norm",), gammas=(0.99,),
+                         fit_restarts=2)
         one_core, two_cores = self.reports(monkeypatch, tmp_path, spec)
         assert pools == [False, True]
         assert one_core == two_cores
@@ -425,52 +410,42 @@ class TestExperimentPool:
     def test_a_config_without_a_search_starts_no_pool(self, monkeypatch, pools):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         run_experiment(tiny_spec(gammas=(0.0,)))
-        assert pools == []
+        assert pools == [False]
 
-    @pytest.mark.parametrize("gammas, restarts, made", [
-        ((0.5,), 1, [True]),
-        ((0.5,), 2, []),  # one fit here runs both restarts at once on the two cores
-        ((0.0, 0.5, 0.9), 2, [True]),
-        ((0.5, 0.9), 4, [True]),
-    ])
-    def test_the_pool_starts_only_with_as_many_fits_as_concurrent_restarts(
-        self, monkeypatch, pools, gammas, restarts, made
-    ):
+    def test_one_fits_restarts_run_on_a_two_worker_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        run_experiment(tiny_spec(normalizers=("gas_norm",), gammas=gammas,
-                                 fit_restarts=restarts, fit_max_iters=5))
-        assert pools == made
+        pools = record_pools(monkeypatch)
+        run_experiment(tiny_spec(normalizers=("gas_norm",), gammas=(0.5,), fit_restarts=2,
+                                 fit_max_iters=5))
+        assert pools == [[2, "_nelder_mead", "_nelder_mead"]]
 
-    def test_the_pool_has_one_worker_per_fit_up_to_one_more_than_the_cores(self, monkeypatch):
+    def test_the_pool_has_one_worker_per_search_up_to_the_cores(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        sizes = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda workers, **kwargs: sizes.append(workers))
-        for tasks in (1, 3, 40):
-            fitting_mod.fork_pool(tasks, spare=1)
-        assert sizes == [1, 3, 3]
+        pools = record_pools(monkeypatch)
+        made = []
+        for searches in (0, 1, 2, 3, 40):
+            with fitting_mod.fork_pool(searches) as pool:
+                made.append(pool is not None)
+        assert made == [False, False, True, True, True]
+        assert pools == [[2], [2], [2]]
 
-    def test_a_fit_in_a_pool_worker_starts_no_pool_of_its_own(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        ys = gen_ar(ArSpec(length=150, trend_slope=0.05, seed=2)).values[:, 0]
-        config = FitConfig(gamma=0.4, nu=20.0, restarts=3, seed=5, max_iters=120)
-        pool = fitting_mod.fork_pool(1)
-        assert pool is not None
-        with pool:
-            result, calls = pool.submit(_fit_counting_objective_calls, ys, config).result(60)
-        # every restart's objective calls ran in the worker itself
-        assert calls == result.evaluations > 1
-        assert result == fit(ys, config)
+    def test_every_fits_counts_reach_the_caller(self, monkeypatch):
+        real = evaluation_mod.fit_frame
+        returned = {}
 
-    def test_a_child_process_that_is_no_pool_worker_may_start_a_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        context = multiprocessing.get_context("fork")
-        queue = context.Queue()
-        child = context.Process(target=_pool_made_here, args=(queue,))
-        child.start()
-        made = queue.get(timeout=60)
-        child.join(60)
-        assert made
+        def recorded(frame, config, started=None):
+            results = real(frame, config, started)
+            returned[len(os.sched_getaffinity(0)), config.gamma] = results
+            return results
+
+        monkeypatch.setattr(evaluation_mod, "fit_frame", recorded)
+        spec = tiny_spec(normalizers=("gas_norm",), gammas=(0.0, 0.5, 0.9), fit_restarts=2)
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            run_experiment(spec)
+        for gamma in (0.5, 0.9):
+            assert returned[2, gamma] == returned[1, gamma]
+            assert all(result.evaluations > 1 for result in returned[2, gamma].values())
 
 
 class TestReportIo:

@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.optimize import Bounds, minimize
 
 import gasnorm.fitting as fitting_mod
-from _helpers import fresh_interpreter
+from _helpers import fresh_interpreter, record_pools
 
 from gasnorm import (
     ArSpec,
@@ -33,6 +33,7 @@ from gasnorm.fitting import (
     _initial_params,
     _negative,
     _nelder_mead,
+    start_fit,
 )
 
 
@@ -160,6 +161,15 @@ class TestFit:
         config = FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=3, max_iters=60)
         result = fit(iid_normal(120, seed=8), config)
         assert result.evaluations == len(objective_calls) > 1
+
+    def test_without_a_pool_a_search_runs_when_the_fit_asks_for_it(self, objective_calls):
+        ys = iid_normal(120, seed=8)
+        config = FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=3, max_iters=60)
+        started = start_fit(ys, config)
+        assert len(objective_calls) == 1  # the initial point
+        result = fit(ys, config, started)
+        assert result.evaluations == len(objective_calls) > 1
+        assert result == fit(ys, config)
 
     def test_worker_processes_give_the_in_process_result(self, monkeypatch, objective_calls):
         ys = gen_ar(ArSpec(length=150, trend_slope=0.05, seed=2)).values[:, 0]
@@ -343,6 +353,16 @@ class TestFitFrame:
         assert r1["a"] == r2["a"]
         assert r1["b"] == r2["b"]
 
+    def test_every_features_searches_share_one_pool(self, monkeypatch):
+        frame = SeriesFrame(np.random.default_rng(6).normal(size=(80, 3)), ["a", "b", "c"])
+        config = FitConfig(family=Family.GAUSSIAN, restarts=2, max_iters=40)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        in_process = fit_frame(frame, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pools = record_pools(monkeypatch)
+        assert fit_frame(frame, config) == in_process
+        assert pools == [[2] + ["_nelder_mead"] * 6]
+
     def test_every_feature_invalid_is_invalid_input(self):
         frame = SeriesFrame(np.ones((5, 2)), ["a", "b"])
         with pytest.raises(ValidationError, match="at least 10 observations") as info:
@@ -358,7 +378,7 @@ class TestFitFrame:
             fit_frame(frame, FitConfig(family=Family.GAUSSIAN, restarts=1, max_iters=20))
 
     def test_a_numerical_failure_makes_it_a_fit_error(self, monkeypatch):
-        def fail(ys, config):
+        def fail(ys, config, started=None):
             if ys[0] > 0:
                 raise NumericalError("filter diverged")
             raise ValidationError("too short")
