@@ -1,7 +1,7 @@
 """Run-record flag left from the numba kernel.
 
 The filter itself is ``filtering.filter_series``. perfbench's run record
-still reads ``NUMBA_ACTIVE``; ROADMAP direction 6, the benchmark-only
+still reads ``NUMBA_ACTIVE``; ROADMAP direction 8, the benchmark-only
 change, deletes this module together with that field.
 """
 

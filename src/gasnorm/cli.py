@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag left out is absent from args, so FitConfig's default applies
     p = sub.add_parser("fit", help="fit filter parameters per feature",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--dist", dest="family", choices=[f.value for f in Family])
     p.add_argument("--nu", type=float)

@@ -67,7 +67,6 @@ class ExperimentSpec:
     mase_seasonality: int = 1
     family: Family = Family.STUDENT_T
     nu: float = 100.0
-    fit_seed: int = 0
     fit_restarts: int = 2
     fit_max_iters: int = 300
     stride: int = 1
@@ -80,8 +79,7 @@ class ExperimentSpec:
         if self.forecaster.seed != 0:
             raise ValidationError(f"forecaster.seed must stay 0, got {self.forecaster.seed}:"
                                   " each entry of seeds trains one forecaster with that seed")
-        check_at_least(self, stride=1, mase_seasonality=1, fit_restarts=1, fit_max_iters=1,
-                       fit_seed=0)
+        check_at_least(self, stride=1, mase_seasonality=1, fit_restarts=1, fit_max_iters=1)
         # duplicates are dropped: repeated entries would only repeat identical cells
         for name in ("normalizers", "gammas", "seeds"):
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
@@ -113,12 +111,6 @@ class ReportRow:
 @dataclass(frozen=True)
 class EvalReport:
     rows: tuple[ReportRow, ...]
-
-    def row(self, normalizer: str, gamma: float | None = None) -> ReportRow:
-        for r in self.rows:
-            if r.normalizer == normalizer and (gamma is None or r.gamma == gamma):
-                return r
-        raise ValidationError(f"no row for normalizer {normalizer!r}, gamma {gamma}")
 
 
 def load_dataset(dataset) -> tuple[SeriesFrame, str]:
@@ -213,7 +205,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
 
     cells = [(kind, gamma) for kind in spec.normalizers
              for gamma in (spec.gammas if kind is NormalizerKind.GAS_NORM else (None,))]
-    configs = {gamma: FitConfig(gamma=gamma, family=spec.family, nu=spec.nu, seed=spec.fit_seed,
+    configs = {gamma: FitConfig(gamma=gamma, family=spec.family, nu=spec.nu,
                                 restarts=spec.fit_restarts, max_iters=spec.fit_max_iters)
                for _, gamma in cells if gamma is not None}
     searched = [gamma for gamma, config in configs.items() if config.searches]
@@ -270,10 +262,7 @@ def _aggregate(dataset: str, normalizer: str, gamma, values: list[float], error=
 
 def emit_report(report: EvalReport, path) -> tuple[str, str]:
     """Write ``<path>.csv`` (long format) and ``<path>.json`` (per-seed values)."""
-    path = str(path)
-    if os.path.isdir(path):
-        path = os.path.join(path, "report")
-    csv_path, json_path = path + ".csv", path + ".json"
+    csv_path, json_path = f"{path}.csv", f"{path}.json"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dataset,normalizer,gamma,mase_mean,mase_stderr,n_seeds\n")
         for r in report.rows:

@@ -16,6 +16,8 @@ bit for bit.
 from __future__ import annotations
 
 import os
+import signal
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -33,7 +35,6 @@ class FitConfig:
     family: Family = Family.STUDENT_T
     max_iters: int = 400
     restarts: int = 3
-    seed: int = 0
     fit_nu: bool = False
     nu: float = 100.0
 
@@ -41,7 +42,7 @@ class FitConfig:
         check_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValidationError("gamma must lie in [0, 1)")
-        check_at_least(self, seed=0, restarts=1, max_iters=1)
+        check_at_least(self, restarts=1, max_iters=1)
         if self.fit_nu and self.family is Family.GAUSSIAN:
             raise ValidationError("fit_nu needs the student_t family: a gaussian fit has no nu")
 
@@ -194,6 +195,13 @@ def _nelder_mead(func, x0, lo, hi, max_iters: int, args: tuple):
     return sim[0], np.min(fsim), iterations, nfev, iterations < max_iters
 
 
+def _die_with_parent(prctl, parent: int) -> None:
+    """A pool worker's initializer: the kernel SIGKILLs the worker when ``parent`` exits."""
+    prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent exited before the call above
+        os._exit(1)
+
+
 @contextmanager
 def fork_pool(searches: int):
     """A process pool for ``searches`` restart searches, or None where they run in this process.
@@ -204,7 +212,11 @@ def fork_pool(searches: int):
     is imported. Its workers are forked: a spawned or forkserver worker
     would re-import numpy and gasnorm, which costs more than half of one
     restart. A worker only ever runs ``_nelder_mead``, so no pool starts
-    inside another. On exit the searches not yet begun are cancelled.
+    inside another. On exit the searches not yet begun are cancelled. On
+    Linux the kernel also kills every worker when this process ends, even
+    by a signal that runs no ``finally``. It does so when the thread that
+    forked the worker ends: the one that first submits, which outlives the
+    pool.
     """
     workers = min(searches, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if workers < 2:
@@ -213,7 +225,13 @@ def fork_pool(searches: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    initializer = None
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        initializer = partial(_die_with_parent, ctypes.CDLL(None).prctl, os.getpid())
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=initializer)
     try:
         yield pool
     finally:
@@ -225,7 +243,7 @@ def start_fit(ys, config: FitConfig, pool=None) -> tuple:
 
     The initial state is pinned to the training-set unconditional mean and
     (floored) variance. Restarts perturb the initial point by up to +/-50%
-    multiplicatively. Each restart's search is submitted to ``pool``, a
+    multiplicatively, with factors drawn from seed 0. Each restart's search is submitted to ``pool``, a
     ``fork_pool``; with no pool it runs in this process when ``fit`` asks for
     its result. Returns the template params, the initial point, the objective
     there, and per restart a call that returns its ``_nelder_mead`` result.
@@ -254,7 +272,7 @@ def start_fit(ys, config: FitConfig, pool=None) -> tuple:
     if not np.isfinite(init_objective):
         raise FitError("objective is non-finite at the initialization point")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     starts = [x0 if i == 0 else np.clip(x0 * rng.uniform(0.5, 1.5, size=x0.shape), lo, hi)
               for i in range(config.searches)]
     tasks = [(_negative, s, lo, hi, config.max_iters, (template, fit_nu, ys)) for s in starts]

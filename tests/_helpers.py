@@ -3,8 +3,8 @@
 They build inputs for the shift, outlier and trend tests, check the
 MLP's backprop, read CSV text, draw frames for the CSV writer tests,
 measure the memory a call allocates, record the process pools a run
-makes and run code in a fresh interpreter; the pipeline itself needs
-none of them.
+makes, find a report's row and run code in a fresh interpreter; the
+pipeline itself needs none of them.
 """
 
 import concurrent.futures
@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import gasnorm
-from gasnorm import Activation, MlpSpec, SeriesFrame, TrainedModel
+from gasnorm import Activation, EvalReport, MlpSpec, SeriesFrame, TrainedModel
 from gasnorm.errors import ValidationError
 from gasnorm.mlp import _backward, _layers, _loss, init_layers
 from gasnorm.series import _BLOCK_ROWS, _parse_csv
@@ -93,18 +93,30 @@ def record_pools(monkeypatch) -> list[list]:
     return pools
 
 
+def report_row(report: EvalReport, normalizer: str, gamma: float | None = None):
+    """The report's first row for ``normalizer`` (and ``gamma``, if given)."""
+    for r in report.rows:
+        if r.normalizer == normalizer and (gamma is None or r.gamma == gamma):
+            return r
+    raise LookupError(f"no row for normalizer {normalizer!r}, gamma {gamma}")
+
+
+def gasnorm_env(env=None) -> dict:
+    """This process's environment plus ``env``, with a PYTHONPATH that finds this gasnorm."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gasnorm.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, **(env or {}), "PYTHONPATH": path}
+
+
 def fresh_interpreter(code: str, env=None) -> str:
     """Stdout of ``code`` run in a new Python process that imports this gasnorm.
 
     ``env`` adds to (or overrides) this process's environment variables;
     the child's stdout is decoded as UTF-8.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gasnorm.__file__)))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, encoding="utf-8", env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=gasnorm_env(env), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

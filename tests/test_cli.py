@@ -412,6 +412,20 @@ class TestExperiment:
         doc = json.loads(open(json_path).read())
         assert {"gas_norm", "local_norm"} <= {r["normalizer"] for r in doc["rows"]}
 
+    def test_a_report_directory_does_not_redirect_the_report(self, tmp_path, capsys):
+        # --output-dir names the report's directory, whatever already lies inside it
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(self.config_doc()))
+        (tmp_path / "out" / "report").mkdir(parents=True)
+        code, out, _ = run(
+            ["experiment", "--config", str(cfg), "--output-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 0
+        stem = tmp_path / "out" / "report"
+        assert out.splitlines() == [f"{stem}.csv", f"{stem}.json"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["report", "report.csv", "report.json"]
+        assert os.listdir(tmp_path / "out" / "report") == []
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code, _, _ = run(["experiment", "--output-dir", str(tmp_path)], capsys)
         assert code == 1
@@ -667,16 +681,30 @@ class TestInvalidInputExitsOne:
 
     @pytest.mark.parametrize(
         "argv",
-        [["gen", "ar", "--seed", "-1"], ["gen", "lorenz", "--seed", "-1"],
-         ["fit", "DATA", "--seed", "-1"]],
+        [["gen", "ar", "--seed", "-1"], ["gen", "lorenz", "--seed", "-1"]],
     )
-    def test_negative_seed(self, tmp_path, small_csv, capsys, argv):
-        argv = [small_csv if a == "DATA" else a for a in argv]
+    def test_negative_seed(self, tmp_path, capsys, argv):
         out_dir = tmp_path / "out"
         code, _, err = run([*argv, "--output-dir", str(out_dir)], capsys)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seed must be" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("setting", ["--seed", "fit_seed"])
+    def test_a_removed_restart_seed_is_refused(self, tmp_path, small_csv, capsys, setting):
+        # the restart seed is gone: a run that sets it exits 1, not ignoring it
+        if setting == "--seed":
+            argv = ["fit", small_csv, "--seed", "1"]
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({**TestExperiment().config_doc(), "fit_seed": 0}))
+            argv = ["experiment", "--config", str(cfg)]
+        out_dir = tmp_path / "out"
+        code, out, err = run([*argv, "--output-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ") and setting in err
         assert not out_dir.exists()
 
     def test_fit_nu_with_the_gaussian_family(self, tmp_path, small_csv, capsys):
@@ -717,7 +745,6 @@ class TestInvalidInputExitsOne:
             ("gammas", ["0.5"], "gammas"),
             ("seeds", [-1], "seeds"),
             ("seeds", [], "seeds"),
-            ("fit_seed", -1, "fit_seed"),
             ("forecaster", {"batch_size": 8.5}, "batch_size"),
             ("forecaster", {"epochs": 2.5}, "epochs"),
             ("forecaster", {"layer_widths": [4.7]}, "layer_widths"),

@@ -26,7 +26,7 @@ from gasnorm import (
     to_json,
     write_csv,
 )
-from _helpers import record_pools
+from _helpers import record_pools, report_row
 
 import gasnorm.evaluation as evaluation_mod
 import gasnorm.fitting as fitting_mod
@@ -163,7 +163,7 @@ class TestRunExperiment:
         for row in both.rows:
             # the selected row's gamma is the modal choice, which may differ per run
             gamma = None if row.normalizer == "gas_norm_selected" else row.gamma
-            singles = tuple(r.row(row.normalizer, gamma).per_seed[0] for r in alone)
+            singles = tuple(report_row(r, row.normalizer, gamma).per_seed[0] for r in alone)
             assert row.per_seed == singles
 
     def test_normalize_calls_do_not_depend_on_seed_count(self, monkeypatch):
@@ -216,12 +216,12 @@ class TestRunExperiment:
         )
         report = run_experiment(spec)
         for gamma in spec.gammas:
-            row = report.row("gas_norm", gamma)
+            row = report_row(report, "gas_norm", gamma)
             assert row.n_seeds == 0
             assert "need at least 10 observations" in row.error
         for name in ("global_norm", "local_norm"):
-            assert report.row(name).n_seeds == 1
-            assert report.row(name).error is None
+            assert report_row(report, name).n_seeds == 1
+            assert report_row(report, name).error is None
         assert "gas_norm_selected" not in {r.normalizer for r in report.rows}
 
     @pytest.mark.parametrize("m", [156, 500])
@@ -243,7 +243,7 @@ class TestRunExperiment:
         path = tmp_path / "spike.csv"
         write_csv(SeriesFrame(values, ["a", "b"]), path)
         spec = tiny_spec(dataset=str(path), normalizers=("gas_norm",), gammas=(0.99,))
-        row = run_experiment(spec).row("gas_norm", 0.99)
+        row = report_row(run_experiment(spec), "gas_norm", 0.99)
         assert row.n_seeds == 0
         assert row.error == (
             "1 of 2 features failed to fit: b: objective is non-finite at the initialization point"
@@ -274,7 +274,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evaluation_mod, "train", fails_seed_one)
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))
-        row = run_experiment(spec).row("local_norm")
+        row = report_row(run_experiment(spec), "local_norm")
         assert row.n_seeds == 2 and len(row.per_seed) == 2
         assert row.error == "training loss became non-finite at epoch 0"
 
@@ -292,8 +292,8 @@ class TestRunExperiment:
         report = run_experiment(
             tiny_spec(normalizers=("global_norm", "local_norm"), split=split_spec)
         )
-        assert report.row("global_norm").n_seeds == 1
-        row = report.row("local_norm")
+        assert report_row(report, "global_norm").n_seeds == 1
+        row = report_row(report, "local_norm")
         assert row.n_seeds == 0
         assert row.error == "local normalization needs a context of length >= 2"
 
@@ -345,7 +345,7 @@ class TestRunExperiment:
 
     def test_stderr_over_seeds(self):
         spec = tiny_spec(normalizers=("local_norm",), seeds=(0, 1, 2))
-        row = run_experiment(spec).row("local_norm")
+        row = report_row(run_experiment(spec), "local_norm")
         vals = np.asarray(row.per_seed)
         assert row.mase_stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(3))
 
@@ -485,7 +485,3 @@ class TestReportIo:
         assert len(header) == 6 and rows
         for row in rows:
             assert len(row) == 6 and row[0] == "a,b"
-
-    def test_dir_target(self, tmp_path):
-        csv_path, json_path = emit_report(self.make_report(), tmp_path)
-        assert csv_path.endswith("report.csv") and json_path.endswith("report.json")

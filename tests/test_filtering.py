@@ -352,8 +352,8 @@ class TestGasParams:
         q = GasParams(mu0=np.int64(2), nu=np.int64(10))
         assert type(q.mu0) is float and type(q.nu) is float
         assert q == GasParams(mu0=2.0, nu=10.0)
-        config = FitConfig(seed=np.int64(3), max_iters=np.uint8(7))
-        assert type(config.seed) is int and type(config.max_iters) is int
+        config = FitConfig(restarts=np.int64(3), max_iters=np.uint8(7))
+        assert type(config.restarts) is int and type(config.max_iters) is int
 
     @pytest.mark.parametrize(
         "kw",

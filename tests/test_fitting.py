@@ -1,6 +1,10 @@
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +15,7 @@ from scipy import stats
 from scipy.optimize import Bounds, minimize
 
 import gasnorm.fitting as fitting_mod
-from _helpers import fresh_interpreter, record_pools
+from _helpers import fresh_interpreter, gasnorm_env, record_pools
 
 from gasnorm import (
     ArSpec,
@@ -82,8 +86,7 @@ class TestFit:
     def test_objective_never_below_initialization(self):
         for seed in range(5):
             ys = gen_ar(ArSpec(length=150, trend_slope=0.05, seed=seed)).values[:, 0]
-            config = FitConfig(gamma=0.5, family=Family.GAUSSIAN, seed=seed,
-                               restarts=2, max_iters=150)
+            config = FitConfig(gamma=0.5, family=Family.GAUSSIAN, restarts=2, max_iters=150)
             result = fit(ys, config)
             mean, var = float(np.mean(ys)), max(float(np.var(ys)), 1e-8)
             init = penalized_objective(_initial_params(config, mean, var), ys)
@@ -92,7 +95,7 @@ class TestFit:
     def test_deterministic(self):
         ys = iid_normal(120, seed=3)
         config = FitConfig(gamma=0.3, family=Family.STUDENT_T, nu=20.0,
-                           restarts=3, seed=11, max_iters=100)
+                           restarts=3, max_iters=100)
         assert fit(ys, config) == fit(ys, config)
 
     def test_trend_tracking_beats_static(self):
@@ -174,7 +177,7 @@ class TestFit:
     def test_worker_processes_give_the_in_process_result(self, monkeypatch, objective_calls):
         ys = gen_ar(ArSpec(length=150, trend_slope=0.05, seed=2)).values[:, 0]
         config = FitConfig(gamma=0.4, family=Family.STUDENT_T, nu=20.0,
-                           restarts=3, seed=5, max_iters=120)
+                           restarts=3, max_iters=120)
         results, parent_calls = [], []
         for cores in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
@@ -266,6 +269,11 @@ class TestFit:
     def test_fitting_nu_needs_the_student_t_family(self):
         with pytest.raises(ValidationError, match="fit_nu needs the student_t family"):
             FitConfig(family="gaussian", fit_nu=True)
+
+    def test_a_restart_seed_is_refused(self):
+        # the perturbed starts always come from seed 0, so a seed given is not ignored
+        with pytest.raises(TypeError, match="'seed'"):
+            FitConfig(seed=1)
 
 
 def _scipy_nelder_mead(func, x0, lo, hi, max_iters, args):
@@ -395,3 +403,57 @@ class TestFitFrame:
         doc = json.loads(json.dumps(to_json(results)))
         back = {name: from_keys(FitResult, r, name) for name, r in doc.items()}
         assert back == results
+
+
+def _children(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``, from Linux's /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux's /proc and two usable cores for a pool")
+def test_a_fit_killed_by_a_signal_leaves_no_running_worker():
+    # a signal runs no finally, so only the kernel can end the pool's workers
+    code = ("import numpy as np; from gasnorm import FitConfig, fit;"
+            " fit(np.random.default_rng(0).normal(size=20000), FitConfig(restarts=2))")
+    parent = subprocess.Popen([sys.executable, "-c", code], env=gasnorm_env())
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+            workers = _children(parent.pid)
+        parent.send_signal(signal.SIGTERM)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
