@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -137,23 +138,28 @@ def _segment_mase(model, segment, train_values, m: int) -> float:
 
 
 def _evaluate_normalizer(
-    spec: ExperimentSpec, nspec: NormalizerSpec, segments, names, train_values
+    spec: ExperimentSpec, nspec: NormalizerSpec, frames, names
 ) -> tuple[dict[int, tuple[float | None, float]], str | None]:
-    """Normalize each segment's windows once, then train and score a forecaster per seed.
+    """Normalize each split's windows once, then train and score a forecaster per seed.
 
-    ``segments`` are the train, val (None if too short) and test windows.
-    Normalization does not depend on the seed, so its errors propagate
-    and fail every seed at once. Returns ``{seed: (val_mase, test_mase)}``
-    for the seeds that trained, and the last training error message.
-    Only gas_norm's gamma selection reads the validation MASE, so the
-    other normalizers leave it None; their validation windows still
-    drive early stopping.
+    ``frames`` are the train, val and test splits; a val split shorter
+    than one window has none. A pool worker gets the frames and builds the
+    windows itself: pickling a strided window stack would copy it.
+    Normalization does not depend on the seed, so its error fails every
+    seed at once. Returns ``{seed: (val_mase, test_mase)}`` for the seeds
+    that trained, and the last error message. Only gas_norm's gamma
+    selection reads the validation MASE, so the other normalizers leave it
+    None; their validation windows still drive early stopping.
     """
     l, h = spec.split.context_length, spec.split.horizon
-    train_s, val_s, test_s = [
-        None if win is None else _normalized_segment(nspec, win, l, h, names) for win in segments
-    ]
-    m = spec.mase_seasonality
+    try:
+        train_s, val_s, test_s = [
+            _normalized_segment(nspec, windows(frame, l, h, spec.stride), l, h, names)
+            if len(frame) >= l + h else None for frame in frames
+        ]
+    except (ValidationError, ArithmeticError) as exc:
+        return {}, str(exc)
+    train_values, m = frames[0].values, spec.mase_seasonality
     score_val = val_s is not None and nspec.kind is NormalizerKind.GAS_NORM
     scores: dict[int, tuple[float | None, float]] = {}
     error = None
@@ -182,26 +188,26 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     selection. A failed fit, normalization or training is its cell's
     ``error``; the other cells still report. Rows come in config order,
     cells with scores first, then ``gas_norm_selected``. A
-    ``mase_seasonality`` that is not below the training length would fail
-    every cell, so it raises before any fit runs.
+    ``mase_seasonality`` that is not below the training length, or a test
+    split shorter than one window, would fail every cell, so it raises
+    before any fit runs.
 
-    Every (gamma, feature, restart) search starts on one ``fork_pool``
-    before the first cell; the cells that need no search (the baselines and
-    gamma 0) run while the pool searches, then each gamma > 0 cell collects
-    its fits. With no pool each search runs when its cell asks for it. Either
+    Every (gamma, feature, restart) search and every cell is a task on one
+    ``fork_pool``. The searches go first, then the cells that need no
+    search (the baselines and gamma 0); each gamma > 0 cell goes once this
+    process has collected its fits. With no pool each search runs when its
+    fit asks for it and each cell when its outcome is collected. Either
     way the report is the same, bit for bit.
     """
     data, dataset_id = load_dataset(spec.dataset)
-    train_f, val_f, test_f = split(data, spec.split)
+    train_f, _, test_f = frames = split(data, spec.split)
+    l, h = spec.split.context_length, spec.split.horizon
     if spec.mase_seasonality >= len(train_f):
         raise ValidationError(f"mase_seasonality {spec.mase_seasonality} must be below"
                               f" the training length {len(train_f)}")
-    l, h = spec.split.context_length, spec.split.horizon
-    segments = (
-        windows(train_f, l, h, spec.stride),
-        windows(val_f, l, h, spec.stride) if len(val_f) >= l + h else None,
-        windows(test_f, l, h, spec.stride),
-    )
+    if l + h > len(test_f):
+        raise ValidationError(f"context_length + horizon = {l + h} exceeds"
+                              f" test length {len(test_f)}")
 
     cells = [(kind, gamma) for kind in spec.normalizers
              for gamma in (spec.gammas if kind is NormalizerKind.GAS_NORM else (None,))]
@@ -209,8 +215,9 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
                                 restarts=spec.fit_restarts, max_iters=spec.fit_max_iters)
                for _, gamma in cells if gamma is not None}
     searched = [gamma for gamma, config in configs.items() if config.searches]
-    outcomes = {}
-    with fork_pool(data.n_features * sum(c.searches for c in configs.values())) as pool:
+    searches = data.n_features * sum(c.searches for c in configs.values())
+    outcomes, runs = {}, {}
+    with fork_pool(searches + len(cells)) as pool:
         started = {gamma: start_fits(train_f, config, pool) for gamma, config in configs.items()}
         for kind, gamma in sorted(cells, key=lambda cell: cell[1] in searched):
             try:
@@ -219,11 +226,12 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
                     fits = fit_frame(train_f, configs[gamma], started[gamma])
                     params = {name: result.params for name, result in fits.items()}
                 nspec = NormalizerSpec.for_frame(kind, train_f, params)
-                outcomes[kind, gamma] = _evaluate_normalizer(
-                    spec, nspec, segments, data.feature_names, train_f.values
-                )
             except (ValidationError, ArithmeticError) as exc:
                 outcomes[kind, gamma] = {}, str(exc)
+                continue
+            task = (_evaluate_normalizer, spec, nspec, frames, data.feature_names)
+            runs[kind, gamma] = partial(*task) if pool is None else pool.submit(*task).result
+        outcomes.update((cell, run()) for cell, run in runs.items())
 
     rows: list[ReportRow] = []
     gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}

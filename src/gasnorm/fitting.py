@@ -6,7 +6,8 @@ moved the state, weighted gamma vs (1 - gamma). It is maximized per
 feature with a bounded Nelder-Mead simplex search and multiplicative
 multi-start, which copes with the non-smoothness near the stability
 boundary without needing gradients. The restarts are independent
-searches, and a pool of worker processes runs them in parallel.
+searches, and a pool of worker processes runs them in parallel; an
+experiment's cells share that pool (``fork_pool``).
 
 The simplex search is this module's own transcription of scipy's, so the
 package needs no scipy at run time; the tests hold it to scipy's results
@@ -195,43 +196,61 @@ def _nelder_mead(func, x0, lo, hi, max_iters: int, args: tuple):
     return sim[0], np.min(fsim), iterations, nfev, iterations < max_iters
 
 
-def _die_with_parent(prctl, parent: int) -> None:
-    """A pool worker's initializer: the kernel SIGKILLs the worker when ``parent`` exits."""
-    prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
-    if os.getppid() != parent:  # the parent exited before the call above
-        os._exit(1)
+# the OpenBLAS thread setters, by the names numpy's bundled builds export
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _init_worker(set_blas_threads, prctl, parent: int) -> None:
+    """A pool worker's initializer: one BLAS thread, and on Linux death with ``parent``.
+
+    Each core already runs a worker, so a second BLAS thread per worker
+    only competes with the others. Without a setter the worker keeps the
+    library's default; without ``prctl`` it may outlive ``parent``.
+    """
+    if set_blas_threads is not None:
+        set_blas_threads(1)
+    if prctl is not None:
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG: the kernel kills the worker
+        if os.getppid() != parent:  # the parent exited before the call above
+            os._exit(1)
 
 
 @contextmanager
-def fork_pool(searches: int):
-    """A process pool for ``searches`` restart searches, or None where they run in this process.
+def fork_pool(tasks: int):
+    """A process pool for ``tasks`` independent tasks, or None where they run in this process.
 
     The pool has one worker per usable core (``os.sched_getaffinity``, which
-    only platforms with fork have), but at most one per search. There is
-    none for fewer than two searches or with one usable core; then nothing
-    is imported. Its workers are forked: a spawned or forkserver worker
-    would re-import numpy and gasnorm, which costs more than half of one
-    restart. A worker only ever runs ``_nelder_mead``, so no pool starts
-    inside another. On exit the searches not yet begun are cancelled. On
-    Linux the kernel also kills every worker when this process ends, even
-    by a signal that runs no ``finally``. It does so when the thread that
-    forked the worker ends: the one that first submits, which outlives the
-    pool.
+    only platforms with fork have), but at most one per task. There is none
+    for fewer than two tasks or with one usable core; then nothing is
+    imported. Its workers are forked: a spawned or forkserver worker would
+    re-import numpy and gasnorm, which costs more than half of one restart.
+    A worker runs a restart search or an experiment cell, and neither starts
+    a pool, so no pool starts inside another. Each worker sets OpenBLAS to
+    one thread, where numpy's library exports a setter. On exit the tasks
+    not yet begun are cancelled. On Linux the kernel also kills every
+    worker when this process ends, even by a signal that runs no
+    ``finally``. It does so when the thread that forked the worker ends:
+    the one that first submits, which outlives the pool.
     """
-    workers = min(searches, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(tasks, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if workers < 2:
         yield None
         return
+    import ctypes
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    initializer = None
-    if sys.platform.startswith("linux"):
-        import ctypes
-
-        initializer = partial(_die_with_parent, ctypes.CDLL(None).prctl, os.getpid())
+    # numpy's compiled core, which links its BLAS
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])  # numpy 1.x
+    numpy_lib = ctypes.CDLL(core.__file__)
+    set_blas_threads = next((getattr(numpy_lib, name) for name in _BLAS_THREAD_SETTERS
+                             if hasattr(numpy_lib, name)), None)
+    prctl = ctypes.CDLL(None).prctl if sys.platform.startswith("linux") else None
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=initializer)
+                               initializer=_init_worker,
+                               initargs=(set_blas_threads, prctl, os.getpid()))
     try:
         yield pool
     finally:

@@ -3,11 +3,12 @@
 They build inputs for the shift, outlier and trend tests, check the
 MLP's backprop, read CSV text, draw frames for the CSV writer tests,
 measure the memory a call allocates, record the process pools a run
-makes, find a report's row and run code in a fresh interpreter; the
-pipeline itself needs none of them.
+makes, read numpy's OpenBLAS thread count, find a report's row and run
+code in a fresh interpreter; the pipeline itself needs none of them.
 """
 
 import concurrent.futures
+import ctypes
 import io
 import math
 import os
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import gasnorm
 from gasnorm import Activation, EvalReport, MlpSpec, SeriesFrame, TrainedModel
 from gasnorm.errors import ValidationError
+from gasnorm.fitting import _BLAS_THREAD_SETTERS
 from gasnorm.mlp import _backward, _layers, _loss, init_layers
 from gasnorm.series import _BLOCK_ROWS, _parse_csv
 
@@ -91,6 +93,18 @@ def record_pools(monkeypatch) -> list[list]:
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     return pools
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports, or None where no getter resolves."""
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])  # numpy 1.x
+    lib = ctypes.CDLL(core.__file__)
+    for name in _BLAS_THREAD_SETTERS:
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if getter is not None:
+            return int(getter())
+    return None
 
 
 def report_row(report: EvalReport, normalizer: str, gamma: float | None = None):

@@ -824,18 +824,21 @@ def test_a_run_without_a_fit_loads_neither_the_optimizer_nor_a_process_pool():
 
         spec = ExperimentSpec(
             dataset=ArSpec(length=120, seed=0),
-            normalizers=("global_norm", "local_norm", "mean_scaling"),
+            normalizers=("local_norm",),
             forecaster=MlpSpec((4,), epochs=1),
             split=SplitSpec(0.6, 0.2, context_length=10, horizon=2),
         )
+        # one cell is one task, so no pool starts; gamma 0 needs no search
         run_experiment(spec)
-        # gamma 0 needs no search, so gas_norm at gamma 0 alone fits in this process
         run_experiment(replace(spec, normalizers=("gas_norm",), gammas=(0.0,)))
         loaded = {"scipy.optimize", "concurrent.futures.process", "multiprocessing"}
         print(sorted(loaded & set(sys.modules)))
+        # three baseline cells may run on a pool, but still need no optimizer
+        run_experiment(replace(spec, normalizers=("global_norm", "local_norm", "mean_scaling")))
+        print("scipy.optimize" in sys.modules)
         """
     )
-    assert out == "[]\n"
+    assert out == "[]\nFalse\n"
 
 
 # a locale whose preferred encoding is ASCII, with Python's UTF-8 overrides switched off

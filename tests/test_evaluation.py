@@ -104,6 +104,14 @@ class TestSelectGamma:
             select_gamma({})
 
 
+# on a 400-step Lorenz series, mean scaling's training diverges; the other baselines' does not
+DIVERGING_MEAN_SCALING = dict(
+    dataset=LorenzSpec(steps=400),
+    forecaster=MlpSpec((8,), "relu", learning_rate=1e-2, epochs=5, batch_size=16),
+    split=SplitSpec(0.6, 0.2, context_length=48, horizon=2),
+)
+
+
 def tiny_spec(**kw):
     base = dict(
         dataset=ArSpec(length=260, ar_coeffs=(0.7,), noise_std=1.0,
@@ -167,6 +175,8 @@ class TestRunExperiment:
             assert row.per_seed == singles
 
     def test_normalize_calls_do_not_depend_on_seed_count(self, monkeypatch):
+        # one usable core: no pool, so every call is counted in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls = []
         real = evaluation_mod.normalize
 
@@ -184,6 +194,8 @@ class TestRunExperiment:
         assert counts[0] == counts[1]
 
     def test_baselines_score_no_validation_windows(self, monkeypatch):
+        # one usable core: no pool, so every call is recorded in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         predicted, val_given = [], []
         real_predict, real_train = evaluation_mod.predict, evaluation_mod.train
 
@@ -236,6 +248,16 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match=f"mase_seasonality {m} must be below"
                            " the training length 156"):
             run_experiment(tiny_spec(mase_seasonality=m))
+
+    def test_a_test_split_shorter_than_one_window_raises_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(evaluation_mod, "fit_frame", no_fit)
+        # 260 steps split 156 / 98 / 6: the test split is shorter than 10 + 2
+        with pytest.raises(ValidationError, match="context_length \\+ horizon = 12 exceeds"
+                           " test length 6"):
+            run_experiment(tiny_spec(split=SplitSpec(0.6, 0.38, context_length=10, horizon=2)))
 
     def test_a_feature_that_fails_to_fit_names_its_reason_in_the_cell(self, tmp_path):
         values = np.random.default_rng(0).normal(size=(260, 2)).cumsum(axis=0)
@@ -351,8 +373,8 @@ class TestRunExperiment:
 
 
 class TestExperimentPool:
-    """Every (gamma, feature, restart) search starts on one pool before the first cell,
-    where cores allow; the cells that need no search run meanwhile."""
+    """Every (gamma, feature, restart) search and every cell runs on one pool, where
+    cores allow; a gamma > 0 cell starts once its fits are collected."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -377,17 +399,28 @@ class TestExperimentPool:
             files.append([Path(p).read_bytes() for p in (json_path, csv_path)])
         return files
 
-    @pytest.mark.parametrize("normalizers", [
-        ("gas_norm", "global_norm", "local_norm", "mean_scaling"),
-        ("global_norm", "local_norm", "mean_scaling", "gas_norm"),
-    ])
+    @pytest.mark.parametrize("normalizers, kwargs, errors", [
+        (("gas_norm", "global_norm", "local_norm", "mean_scaling"), {}, None),
+        (("global_norm", "local_norm", "mean_scaling", "gas_norm"), {}, None),
+        # mean scaling's training diverges in a worker
+        (("global_norm", "local_norm", "mean_scaling"), DIVERGING_MEAN_SCALING,
+         {"global_norm": None, "local_norm": None,
+          "mean_scaling": "training loss became non-finite at epoch 2"}),
+        # local_norm needs two context steps, so its normalize raises in a worker
+        (("global_norm", "local_norm"),
+         dict(split=SplitSpec(0.6, 0.2, context_length=1, horizon=2)),
+         {"global_norm": None, "local_norm": "local normalization needs a context of length >= 2"}),
+    ], ids=["normalizers0", "normalizers1", "training_diverges", "normalize_fails"])
     def test_the_report_is_the_same_with_and_without_the_pool(
-        self, monkeypatch, tmp_path, pools, normalizers
+        self, monkeypatch, tmp_path, pools, normalizers, kwargs, errors
     ):
-        spec = tiny_spec(normalizers=normalizers, gammas=(0.5, 0.0, 0.9), seeds=(0, 1))
+        spec = tiny_spec(normalizers=normalizers, gammas=(0.5, 0.0, 0.9), seeds=(0, 1), **kwargs)
         one_core, two_cores = self.reports(monkeypatch, tmp_path, spec)
         assert pools == [False, True]
         assert one_core == two_cores
+        if errors is not None:
+            rows = json.loads(two_cores[0])["rows"]
+            assert {row["normalizer"]: row["error"] for row in rows} == errors
 
     def test_a_fit_that_fails_is_the_same_cell_error_with_the_pool(
         self, monkeypatch, tmp_path, pools
@@ -408,16 +441,23 @@ class TestExperimentPool:
         )
 
     def test_a_config_without_a_search_starts_no_pool(self, monkeypatch, pools):
+        # gas_norm at gamma 0 alone: one cell and no search make one task
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        run_experiment(tiny_spec(gammas=(0.0,)))
+        run_experiment(tiny_spec(normalizers=("gas_norm",), gammas=(0.0,)))
         assert pools == [False]
+
+    def test_three_baseline_cells_start_a_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(tiny_spec(normalizers=("global_norm", "local_norm", "mean_scaling")))
+        assert pools == [True]
 
     def test_one_fits_restarts_run_on_a_two_worker_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         pools = record_pools(monkeypatch)
         run_experiment(tiny_spec(normalizers=("gas_norm",), gammas=(0.5,), fit_restarts=2,
                                  fit_max_iters=5))
-        assert pools == [[2, "_nelder_mead", "_nelder_mead"]]
+        # the cell is submitted once its fit is collected
+        assert pools == [[2, "_nelder_mead", "_nelder_mead", "_evaluate_normalizer"]]
 
     def test_the_pool_has_one_worker_per_search_up_to_the_cores(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -15,7 +15,7 @@ from scipy import stats
 from scipy.optimize import Bounds, minimize
 
 import gasnorm.fitting as fitting_mod
-from _helpers import fresh_interpreter, gasnorm_env, record_pools
+from _helpers import blas_threads, fresh_interpreter, gasnorm_env, record_pools
 
 from gasnorm import (
     ArSpec,
@@ -457,3 +457,13 @@ def test_a_fit_killed_by_a_signal_leaves_no_running_worker():
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+@pytest.mark.skipif(blas_threads() in (None, 1),
+                    reason="numpy's BLAS reports no OpenBLAS thread count, or one thread already")
+def test_a_pool_worker_runs_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = blas_threads()
+    with fitting_mod.fork_pool(2) as pool:
+        assert pool.submit(blas_threads).result() == 1
+    assert blas_threads() == before
