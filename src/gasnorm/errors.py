@@ -10,6 +10,7 @@ JSON file is written by ``write_json`` from ``to_json`` and read back by
 import enum
 import functools
 import json
+import math
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -128,25 +129,27 @@ def to_json(obj):
 
     A dataclass becomes an object of its fields in declaration order, an
     enum its value and an ndarray (or numpy scalar) a list (or number);
-    dicts, lists and tuples are converted entry by entry.
+    dicts, lists and tuples are converted entry by entry. A NaN or infinite
+    float becomes None, so the JSON holds ``null``: strict parsers reject
+    ``NaN`` and ``Infinity``.
     """
     if is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: to_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
-    return obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json(obj, path) -> None:
-    """Write ``to_json(obj)`` to ``path`` as UTF-8 JSON, indented by 2."""
+    """Write ``to_json(obj)`` to ``path`` as UTF-8 strict JSON, indented by 2."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json(obj), fh, indent=2)
+        json.dump(to_json(obj), fh, indent=2, allow_nan=False)
 
 
 def read_json(path):

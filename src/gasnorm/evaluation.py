@@ -138,8 +138,8 @@ def _segment_mase(model, segment, train_values, m: int) -> float:
 
 
 def _evaluate_normalizer(
-    spec: ExperimentSpec, nspec: NormalizerSpec, frames, names
-) -> tuple[dict[int, tuple[float | None, float]], str | None]:
+    spec: ExperimentSpec, nspec: NormalizerSpec, frames
+) -> tuple[dict[int, tuple[float, float]], str | None]:
     """Normalize each split's windows once, then train and score a forecaster per seed.
 
     ``frames`` are the train, val and test splits; a val split shorter
@@ -149,19 +149,20 @@ def _evaluate_normalizer(
     seed at once. Returns ``{seed: (val_mase, test_mase)}`` for the seeds
     that trained, and the last error message. Only gas_norm's gamma
     selection reads the validation MASE, so the other normalizers leave it
-    None; their validation windows still drive early stopping.
+    NaN, as gas_norm does without validation windows; their validation
+    windows still drive early stopping.
     """
     l, h = spec.split.context_length, spec.split.horizon
     try:
         train_s, val_s, test_s = [
-            _normalized_segment(nspec, windows(frame, l, h, spec.stride), l, h, names)
+            _normalized_segment(nspec, windows(frame, l, h, spec.stride), l, h, frame.feature_names)
             if len(frame) >= l + h else None for frame in frames
         ]
     except (ValidationError, ArithmeticError) as exc:
         return {}, str(exc)
     train_values, m = frames[0].values, spec.mase_seasonality
     score_val = val_s is not None and nspec.kind is NormalizerKind.GAS_NORM
-    scores: dict[int, tuple[float | None, float]] = {}
+    scores: dict[int, tuple[float, float]] = {}
     error = None
     for seed in spec.seeds:
         try:
@@ -171,7 +172,7 @@ def _evaluate_normalizer(
                 train_s[1],
                 None if val_s is None else (val_s[0].normalized_context, val_s[1]),
             )
-            val = _segment_mase(model, val_s, train_values, m) if score_val else None
+            val = _segment_mase(model, val_s, train_values, m) if score_val else math.nan
             scores[seed] = (val, _segment_mase(model, test_s, train_values, m))
         except (ValidationError, ArithmeticError) as exc:
             error = str(exc)
@@ -185,8 +186,10 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     stack and trains one forecaster per seed on them. For the adaptive
     normalizer, gamma is selected per seed on validation MASE and an extra
     ``gas_norm_selected`` row reports the test MASE at each seed's
-    selection. A failed fit, normalization or training is its cell's
-    ``error``; the other cells still report. Rows come in config order,
+    selection. Without validation windows every validation MASE is NaN,
+    so ``select_gamma`` picks the smallest gamma. A failed fit,
+    normalization or training is its cell's ``error``; the other cells
+    still report. Rows come in config order,
     cells with scores first, then ``gas_norm_selected``. A
     ``mase_seasonality`` that is not below the training length, or a test
     split shorter than one window, would fail every cell, so it raises
@@ -229,12 +232,12 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             except (ValidationError, ArithmeticError) as exc:
                 outcomes[kind, gamma] = {}, str(exc)
                 continue
-            task = (_evaluate_normalizer, spec, nspec, frames, data.feature_names)
+            task = (_evaluate_normalizer, spec, nspec, frames)
             runs[kind, gamma] = partial(*task) if pool is None else pool.submit(*task).result
         outcomes.update((cell, run()) for cell, run in runs.items())
 
     rows: list[ReportRow] = []
-    gas_scores: dict[float, dict[int, tuple[float | None, float]]] = {}
+    gas_scores: dict[float, dict[int, tuple[float, float]]] = {}
     for kind, gamma in cells:
         scores, error = outcomes[kind, gamma]
         if gamma is not None:
@@ -248,8 +251,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     for seed in spec.seeds:
         by_gamma = {g: s[seed] for g, s in gas_scores.items() if seed in s}
         if by_gamma:
-            val_by_gamma = {g: val for g, (val, _) in by_gamma.items() if val is not None}
-            chosen = select_gamma(val_by_gamma) if val_by_gamma else min(by_gamma)
+            chosen = select_gamma({g: val for g, (val, _) in by_gamma.items()})
             selected_gammas.append(chosen)
             selected_tests.append(by_gamma[chosen][1])
     if selected_tests:

@@ -76,9 +76,10 @@ def penalized_objective(params: GasParams, ys) -> float:
 _PARAM_ORDER = ("alpha_mu", "alpha_sigma", "beta_mu", "beta_sigma", "omega_mu", "omega_sigma")
 
 
-def _default_bounds(mean: float, var: float) -> dict[str, tuple[float, float]]:
+def _default_bounds(mean: float, var: float, names: tuple[str, ...]) -> np.ndarray:
+    """The box the search moves in: rows of lower and upper bounds, one column per name."""
     w = 10.0 * abs(mean) + 1.0
-    return {
+    bounds = {
         "alpha_mu": (0.0, 2.0),
         "alpha_sigma": (0.0, 2.0),
         "beta_mu": (0.0, 0.999),
@@ -87,6 +88,7 @@ def _default_bounds(mean: float, var: float) -> dict[str, tuple[float, float]]:
         "omega_sigma": (0.0, 10.0 * var + 1.0),
         "nu": (2.1, 1000.0),
     }
+    return np.array([bounds[n] for n in names]).T
 
 
 def _initial_params(config: FitConfig, mean: float, var: float) -> GasParams:
@@ -108,16 +110,13 @@ def _initial_params(config: FitConfig, mean: float, var: float) -> GasParams:
     )
 
 
-def _to_params(x: np.ndarray, template: GasParams, fit_nu: bool) -> GasParams:
-    kwargs = dict(zip(_PARAM_ORDER, x[: len(_PARAM_ORDER)]))
-    if fit_nu:
-        kwargs["nu"] = x[len(_PARAM_ORDER)]
-    return replace(template, **kwargs)
+def _to_params(x: np.ndarray, template: GasParams, names: tuple[str, ...]) -> GasParams:
+    return replace(template, **dict(zip(names, x)))
 
 
-def _negative(x: np.ndarray, template: GasParams, fit_nu: bool, ys: np.ndarray) -> float:
+def _negative(x: np.ndarray, template: GasParams, names: tuple[str, ...], ys: np.ndarray) -> float:
     try:
-        return -penalized_objective(_to_params(x, template, fit_nu), ys)
+        return -penalized_objective(_to_params(x, template, names), ys)
     except (ValidationError, ArithmeticError):
         return np.inf
 
@@ -264,7 +263,10 @@ def start_fit(ys, config: FitConfig, pool=None) -> tuple:
     (floored) variance. Restarts perturb the initial point by up to +/-50%
     multiplicatively, with factors drawn from seed 0. Each restart's search is submitted to ``pool``, a
     ``fork_pool``; with no pool it runs in this process when ``fit`` asks for
-    its result. Returns the template params, the initial point, the objective
+    its result. The searched names, ``_PARAM_ORDER`` plus ``nu`` under
+    ``fit_nu``, are the search space: the box, the initial point and each
+    point's params follow them; every other field keeps the template's.
+    Returns the template params, the names, the initial point, the objective
     there, and per restart a call that returns its ``_nelder_mead`` result.
     """
     ys = one_series(ys)
@@ -277,27 +279,24 @@ def start_fit(ys, config: FitConfig, pool=None) -> tuple:
         raise ValidationError(f"training variance must be finite, got {var}")
     var = max(var, VARIANCE_FLOOR)
 
-    fit_nu = config.fit_nu
-    names = _PARAM_ORDER + ("nu",) if fit_nu else _PARAM_ORDER
-    bounds = _default_bounds(mean, var)
-    lo = np.array([bounds[n][0] for n in names])
-    hi = np.array([bounds[n][1] for n in names])
+    names = _PARAM_ORDER + ("nu",) if config.fit_nu else _PARAM_ORDER
+    lo, hi = _default_bounds(mean, var, names)
 
     template = _initial_params(config, mean, var)
     x0 = np.array([getattr(template, n) for n in names])
     x0 = np.clip(x0, lo, hi)
 
-    init_objective = -_negative(x0, template, fit_nu, ys)
+    init_objective = -_negative(x0, template, names, ys)
     if not np.isfinite(init_objective):
         raise FitError("objective is non-finite at the initialization point")
 
     rng = np.random.default_rng(0)
     starts = [x0 if i == 0 else np.clip(x0 * rng.uniform(0.5, 1.5, size=x0.shape), lo, hi)
               for i in range(config.searches)]
-    tasks = [(_negative, s, lo, hi, config.max_iters, (template, fit_nu, ys)) for s in starts]
+    tasks = [(_negative, s, lo, hi, config.max_iters, (template, names, ys)) for s in starts]
     searches = [partial(_nelder_mead, *task) if pool is None
                 else pool.submit(_nelder_mead, *task).result for task in tasks]
-    return template, x0, init_objective, searches
+    return template, names, x0, init_objective, searches
 
 
 def fit(ys, config: FitConfig, started: tuple | None = None) -> FitResult:
@@ -310,7 +309,7 @@ def fit(ys, config: FitConfig, started: tuple | None = None) -> FitResult:
     unperturbed initialization.
     """
     with fork_pool(0 if started else config.searches) as pool:
-        template, x0, init_objective, searches = started or start_fit(ys, config, pool)
+        template, names, x0, init_objective, searches = started or start_fit(ys, config, pool)
         results = [search() for search in searches]
 
     # the initial point was not reached by an optimizer, so it has not converged
@@ -321,9 +320,7 @@ def fit(ys, config: FitConfig, started: tuple | None = None) -> FitResult:
 
     objective, x, iterations, converged = best
     evaluations = 1 + sum(nfev for _, _, _, nfev, _ in results)
-    return FitResult(
-        _to_params(x, template, config.fit_nu), objective, iterations, converged, evaluations
-    )
+    return FitResult(_to_params(x, template, names), objective, iterations, converged, evaluations)
 
 
 def start_fits(frame: SeriesFrame, config: FitConfig, pool=None) -> dict:

@@ -32,7 +32,7 @@ from gasnorm import (
 from _helpers import fresh_interpreter
 from gasnorm.normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
 from gasnorm.cli import experiment_spec_from_dict, main
-from gasnorm.datagen import ArSpec, LorenzSpec
+from gasnorm.datagen import ArSpec, LorenzSpec, gen_lorenz
 
 
 def run(argv, capsys):
@@ -231,6 +231,18 @@ class TestFitNormalizeForecast:
         assert code == 0
         expected = to_json(fit_frame(load_csv(small_csv), FitConfig()))
         assert open(out.strip()).read() == json.dumps(expected, indent=2)
+
+    def test_a_fit_cut_off_by_max_iters_writes_converged_false(self, tmp_path, capsys):
+        path = tmp_path / "lorenz.csv"
+        write_csv(gen_lorenz(LorenzSpec(steps=200)), path)
+        code, out, _ = run(["fit", str(path), "--max-iters", "1", "--output-dir", str(tmp_path)],
+                           capsys)
+        assert code == 0
+        doc = json.loads(open(out.strip()).read())
+        assert sorted(doc) == ["x", "y", "z"]
+        for result in doc.values():
+            assert result["converged"] is False
+            assert result["iterations"] <= 1
 
     def test_forecast_with_a_model(self, tmp_path, small_csv, capsys):
         model_path = write_model(tmp_path, small_csv, horizon=4)

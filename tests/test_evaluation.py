@@ -30,7 +30,7 @@ from _helpers import record_pools, report_row
 
 import gasnorm.evaluation as evaluation_mod
 import gasnorm.fitting as fitting_mod
-from gasnorm.errors import FitError, NumericalError, ValidationError
+from gasnorm.errors import FitError, NumericalError, ValidationError, write_json
 from gasnorm.evaluation import ReportRow, load_dataset
 from gasnorm.series import split, windows
 
@@ -173,6 +173,20 @@ class TestRunExperiment:
             gamma = None if row.normalizer == "gas_norm_selected" else row.gamma
             singles = tuple(report_row(r, row.normalizer, gamma).per_seed[0] for r in alone)
             assert row.per_seed == singles
+
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.04],
+                             ids=["no_val_split", "val_split_shorter_than_a_window"])
+    def test_without_validation_windows_each_seed_selects_the_smallest_gamma(self, val_fraction):
+        spec = tiny_spec(normalizers=("gas_norm",), gammas=(0.5, 0.0, 0.9), seeds=(0, 1),
+                         split=SplitSpec(0.6, val_fraction, context_length=10, horizon=2))
+        _, val_f, _ = split(load_dataset(spec.dataset)[0], spec.split)
+        assert len(val_f) < spec.split.context_length + spec.split.horizon
+        report = run_experiment(spec)
+        # no seed has a validation MASE, so every gamma ties and the smallest wins
+        selected = report_row(report, "gas_norm_selected")
+        assert selected.gamma == 0.0
+        assert selected.per_seed == report_row(report, "gas_norm", 0.0).per_seed
+        assert selected.n_seeds == 2
 
     def test_normalize_calls_do_not_depend_on_seed_count(self, monkeypatch):
         # one usable core: no pool, so every call is counted in this process
@@ -502,6 +516,26 @@ class TestReportIo:
         _, json_path = emit_report(report, tmp_path / "report")
         with open(json_path) as fh:
             assert json.load(fh) == to_json(report)
+
+    def test_a_failed_cell_is_strict_json_null_and_csv_nan(self, tmp_path):
+        failed = ReportRow("ar", "mean_scaling", None, math.nan, math.nan, 0, (), "diverged")
+        csv_path, json_path = emit_report(EvalReport((failed,)), tmp_path / "report")
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        row = json.loads(Path(json_path).read_text(), parse_constant=refuse)["rows"][0]
+        assert (row["mase_mean"], row["mase_stderr"], row["error"]) == (None, None, "diverged")
+        assert Path(csv_path).read_text().splitlines()[1] == "ar,mean_scaling,,nan,nan,0"
+
+    def test_every_non_finite_float_is_written_as_null(self, tmp_path):
+        values = {"python": [math.nan, -math.inf, 1.5], "numpy": np.float64(math.inf),
+                  "array": np.array([[1.0, np.nan], [np.inf, 2.0]]), "int": 3}
+        expected = {"python": [None, None, 1.5], "numpy": None,
+                    "array": [[1.0, None], [None, 2.0]], "int": 3}
+        assert to_json(values) == expected
+        write_json(values, tmp_path / "values.json")
+        assert json.loads((tmp_path / "values.json").read_text()) == expected
 
     def test_csv_shape(self, tmp_path):
         csv_path, _ = emit_report(self.make_report(), tmp_path / "report")

@@ -112,10 +112,9 @@ class TestFit:
         ys = iid_normal(100, seed=4) * 5.0 + 2.0
         config = FitConfig(gamma=0.7, family=Family.GAUSSIAN, restarts=3, max_iters=200)
         result = fit(ys, config)
-        bounds = _default_bounds(float(np.mean(ys)), float(np.var(ys)))
-        for name in ("alpha_mu", "alpha_sigma", "beta_mu", "beta_sigma",
-                     "omega_mu", "omega_sigma"):
-            lo, hi = bounds[name]
+        names = ("alpha_mu", "alpha_sigma", "beta_mu", "beta_sigma", "omega_mu", "omega_sigma")
+        lows, highs = _default_bounds(float(np.mean(ys)), float(np.var(ys)), names)
+        for name, lo, hi in zip(names, lows, highs):
             assert lo <= getattr(result.params, name) <= hi
 
     def test_theta0_pinned_to_training_moments(self):
@@ -138,6 +137,14 @@ class TestFit:
         result = fit(iid_normal(), config)
         assert result.converged is False
         assert result.iterations == 0
+
+    def test_a_fit_cut_off_by_its_budget_has_not_converged(self):
+        config = FitConfig(gamma=0.5, max_iters=1)
+        ys = iid_normal(120, seed=8)
+        frame = SeriesFrame(np.column_stack([ys, iid_normal(120, seed=9)]), ("a", "b"))
+        for result in [fit(ys, config), *fit_frame(frame, config).values()]:
+            assert result.converged is False
+            assert result.iterations <= 1
 
     def test_gamma_zero_returns_clipped_initial_point_in_one_evaluation(self, monkeypatch):
         evaluated = []
@@ -214,11 +221,11 @@ class TestFit:
         # GasParams rejects beta_mu = 1
         outside = x.copy()
         outside[_PARAM_ORDER.index("beta_mu")] = 1.0
-        assert _negative(outside, template, False, ys) == np.inf
+        assert _negative(outside, template, _PARAM_ORDER, ys) == np.inf
         # a 1e200 spike overflows the filter state
         spiked = ys.copy()
         spiked[20] = 1e200
-        assert _negative(x, template, False, spiked) == np.inf
+        assert _negative(x, template, _PARAM_ORDER, spiked) == np.inf
 
     def test_a_start_whose_filter_blows_up_is_a_fit_error(self):
         # the training variance is finite, but the variance score at the spike overflows,
