@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, check_at_least, check_fields, to_json,
-                     write_json)
+from .errors import NumericalError, Range, ValidationError, check_fields, to_json, write_json
 from .series import SeriesFrame
 
 
@@ -16,21 +16,17 @@ from .series import SeriesFrame
 class ArSpec:
     """Autoregression plus sinusoidal seasonality and linear trend."""
 
-    length: int = 1000
+    length: Annotated[int, Range(1)] = 1000
     ar_coeffs: tuple[float, ...] = (0.9,)
-    noise_std: float = 1.0
+    noise_std: Annotated[float, Range(0, low_open=True)] = 1.0
     season_amplitude: float = 0.0
-    season_period: int = 12
+    season_period: Annotated[int, Range(1)] = 12
     trend_slope: float = 0.0
-    seed: int = 0
+    seed: Annotated[int, Range(0)] = 0
     require_stable: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("length", "noise_std", "season_period"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        check_at_least(self, seed=0)
 
 
 @dataclass(frozen=True)
@@ -44,19 +40,14 @@ class LorenzSpec:
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
-    dt: float = 0.01
-    steps: int = 5000
+    dt: Annotated[float, Range(0, 0.05, low_open=True)] = 0.01
+    steps: Annotated[int, Range(1)] = 5000
     initial: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    noise_std: float | None = None
-    seed: int = 0
+    noise_std: Annotated[float | None, Range(0)] = None
+    seed: Annotated[int, Range(0)] = 0
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 < self.dt <= 0.05:
-            raise ValidationError("dt must lie in (0, 0.05]")
-        check_at_least(self, steps=1, seed=0)
-        if self.noise_std is not None and self.noise_std < 0:
-            raise ValidationError("noise_std must be non-negative")
 
 
 def ar_is_stable(ar_coeffs) -> bool:

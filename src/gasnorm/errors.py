@@ -3,8 +3,8 @@
 The CLI maps ValidationError (and unreadable files) to exit code 1 and
 NumericalError to exit code 2; everything else is a plain crash. Every
 JSON file is written by ``write_json`` from ``to_json`` and read back by
-``read_json`` and ``from_keys``; dataclasses check their field types with
-``check_fields``.
+``read_json`` and ``from_keys``; dataclasses check their field types, and
+the ranges their annotations declare, with ``check_fields``.
 """
 
 import enum
@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -51,18 +51,53 @@ def check_keys(d, where: str, required=(), allowed=None) -> dict:
     return d
 
 
+@dataclass(frozen=True, slots=True)
+class Range:
+    """The interval a number, or each entry of a tuple of numbers, must lie in.
+
+    A field declares it beside its type: ``Annotated[float, Range(0, 1, high_open=True)]``
+    is a float in [0, 1), and ``Annotated[int, Range(1)]`` an integer of at least 1.
+    """
+
+    low: float
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'above' if self.low_open else 'at least'} {self.low}"
+        return (f"in {'(' if self.low_open else '['}{self.low}, "
+                f"{self.high}{')' if self.high_open else ']'}")
+
+    def check(self, value, name: str):
+        """``value``, or a ValidationError naming ``name`` if it lies outside the range."""
+        if not ((self.low < value if self.low_open else self.low <= value)
+                and (value < self.high if self.high_open else value <= self.high)):
+            raise ValidationError(f"{name} must be {self}, got {value}")
+        return value
+
+
 @functools.cache
 def _annotations(cls) -> tuple:
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+    """Per field of ``cls``: its name, its type and the Range its annotation declares, or None.
+
+    The Range is split from its ``Annotated`` alias here, once per class, so
+    ``check_fields`` dispatches on the plain type.
+    """
+    hints = typing.get_type_hints(cls, include_extras=True)
+    split = [typing.get_args(h) if typing.get_origin(h) is typing.Annotated else (h, None)
+             for h in (hints[f.name] for f in fields(cls))]
+    return tuple((f.name, tp, bound) for f, (tp, bound) in zip(fields(cls), split))
 
 
 _SCALARS = {bool: (bool, "true or false"), int: (Integral, "an integer"),
             float: (Real, "a finite number")}
 
 
-def _checked(tp, value, name: str):
-    """``value`` as the annotation ``tp`` asks, or a ValidationError naming ``name``."""
+def _checked(tp, value, name: str, bound: Range | None):
+    """``value`` as the annotation ``tp`` asks and within ``bound``, or a ValidationError
+    naming ``name``; a tuple's entries are each checked against ``bound``."""
     if tp in _SCALARS:
         kind, want = _SCALARS[tp]
         # only bool takes a bool; the bound rejects NaN, infinities and overlarge integers
@@ -72,36 +107,32 @@ def _checked(tp, value, name: str):
         ok = isinstance(value, tp) or value in [m.value for m in tp]
         want = f"one of {[m.value for m in tp]}"
     elif len(args := typing.get_args(tp)) == 2 and args[1] is type(None):  # X | None
-        return None if value is None else _checked(args[0], value, name)
+        return None if value is None else _checked(args[0], value, name, bound)
     elif typing.get_origin(tp) is tuple:
         value = value.tolist() if isinstance(value, np.ndarray) else value
         ok = isinstance(value, (list, tuple)) and (args[-1] is ... or len(value) == len(args))
         if ok:
             types = args[:1] * len(value) if args[-1] is ... else args
-            return tuple(_checked(types[i], v, f"{name} entry {i}") for i, v in enumerate(value))
+            return tuple(_checked(types[i], v, f"{name} entry {i}", bound)
+                         for i, v in enumerate(value))
         want = "a list" if args[-1] is ... else f"a list of {len(args)} entries"
     else:
         return value  # arrays, dicts and unions are the class's own to check
     if not ok:
         raise ValidationError(f"{name} must be {want}, got {value!r}")
-    return value if type(value) is tp else tp(value)
+    value = value if type(value) is tp else tp(value)
+    return value if bound is None else bound.check(value, name)
 
 
 def check_fields(obj) -> None:
     """Check each field of the dataclass ``obj`` against its annotation; store the converted value.
 
     Fields annotated int, float, bool, an enum, ``tuple[X, ...]``, ``tuple[X, Y]`` or
-    ``X | None`` are checked here; other annotations are left to the class.
+    ``X | None`` are checked here, each against the Range an ``Annotated`` annotation
+    declares; other annotations are left to the class.
     """
-    for name, tp in _annotations(type(obj)):
-        object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name))
-
-
-def check_at_least(obj, **lows) -> None:
-    """Raise a ValidationError naming the first field of ``obj`` below its lower bound."""
-    for name, low in lows.items():
-        if getattr(obj, name) < low:
-            raise ValidationError(f"{name} must be at least {low}, got {getattr(obj, name)}")
+    for name, tp, bound in _annotations(type(obj)):
+        object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name, bound))
 
 
 def from_keys(cls, d, where: str, required=()):
@@ -115,7 +146,7 @@ def from_keys(cls, d, where: str, required=()):
     required = [f.name for f in fields(cls) if f.name in required
                 or (f.default is MISSING and f.default_factory is MISSING)]
     kwargs = dict(check_keys(d, where, required, [f.name for f in fields(cls)]))
-    for name, tp in _annotations(cls):
+    for name, tp, _ in _annotations(cls):
         if is_dataclass(tp) and name in kwargs and not isinstance(kwargs[name], tp):
             kwargs[name] = from_keys(tp, kwargs[name], f"{where} {name}")
     try:

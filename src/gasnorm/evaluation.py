@@ -6,12 +6,13 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Annotated
 
 import numpy as np
 
 from .datagen import ArSpec, LorenzSpec, dataset_kind, gen_ar, gen_lorenz
-from .errors import ValidationError, check_at_least, check_fields, write_json
-from .filtering import Family
+from .errors import Range, ValidationError, check_fields, write_json
+from .filtering import GAMMA, Family, check_nu
 from .fitting import FitConfig, fit_frame, fork_pool, start_fits
 from .mlp import MlpSpec, predict, train
 from .normalization import NormalizerKind, NormalizerSpec, denormalize, normalize
@@ -63,14 +64,14 @@ class ExperimentSpec:
     normalizers: tuple[NormalizerKind, ...]
     forecaster: MlpSpec
     split: SplitSpec
-    gammas: tuple[float, ...] = (0.0, 0.1, 0.5)
-    seeds: tuple[int, ...] = (0,)
-    mase_seasonality: int = 1
+    gammas: Annotated[tuple[float, ...], GAMMA] = (0.0, 0.1, 0.5)
+    seeds: Annotated[tuple[int, ...], Range(0)] = (0,)
+    mase_seasonality: Annotated[int, Range(1)] = 1
     family: Family = Family.STUDENT_T
     nu: float = 100.0
-    fit_restarts: int = 2
-    fit_max_iters: int = 300
-    stride: int = 1
+    fit_restarts: Annotated[int, Range(1)] = 2
+    fit_max_iters: Annotated[int, Range(1)] = 300
+    stride: Annotated[int, Range(1)] = 1
 
     def __post_init__(self):
         check_fields(self)
@@ -80,21 +81,17 @@ class ExperimentSpec:
         if self.forecaster.seed != 0:
             raise ValidationError(f"forecaster.seed must stay 0, got {self.forecaster.seed}:"
                                   " each entry of seeds trains one forecaster with that seed")
-        check_at_least(self, stride=1, mase_seasonality=1, fit_restarts=1, fit_max_iters=1)
+        check_nu(self.family, self.nu)
         # duplicates are dropped: repeated entries would only repeat identical cells
         for name in ("normalizers", "gammas", "seeds"):
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
-        if not self.seeds or min(self.seeds) < 0:
-            raise ValidationError(f"seeds must be non-empty and non-negative, got {self.seeds}")
-        # with no normalizer, or gas_norm without a gamma, no cell would run
+        # with no seed, no normalizer, or gas_norm without a gamma, no cell would run
+        if not self.seeds:
+            raise ValidationError("seeds must be non-empty, got ()")
         if not self.normalizers:
             raise ValidationError("normalizers must be non-empty, got ()")
         if NormalizerKind.GAS_NORM in self.normalizers and not self.gammas:
             raise ValidationError("gammas must be non-empty when gas_norm runs, got ()")
-        if any(not 0.0 <= g < 1.0 for g in self.gammas):
-            raise ValidationError("gammas must lie in [0, 1)")
-        if self.family is Family.STUDENT_T and not self.nu > 2:
-            raise ValidationError(f"nu must exceed 2 for the student_t family, got {self.nu}")
 
 
 @dataclass(frozen=True)

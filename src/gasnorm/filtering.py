@@ -26,10 +26,11 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_fields
+from .errors import NumericalError, Range, ValidationError, check_fields
 from .series import one_series
 
 VARIANCE_FLOOR = 1e-8
@@ -41,35 +42,36 @@ class Family(enum.Enum):
     STUDENT_T = "student_t"
 
 
+GAMMA = Range(0, 1, high_open=True)  # the normalization strength g
+_BETA = Range(-1, 1, low_open=True, high_open=True)  # a stationary prediction step
+
+
+def check_nu(family: Family, nu: float) -> None:
+    """Student's t needs nu > 2 for its variance to exist; a Gaussian has no nu."""
+    if family is Family.STUDENT_T and not nu > 2:
+        raise ValidationError(f"nu must exceed 2 for the student_t family, got {nu}")
+
+
 @dataclass(frozen=True)
 class GasParams:
     """Static filter parameters for one feature."""
 
-    alpha_mu: float = 0.05
-    alpha_sigma: float = 0.05
-    beta_mu: float = 0.95
-    beta_sigma: float = 0.95
+    alpha_mu: Annotated[float, Range(0)] = 0.05
+    alpha_sigma: Annotated[float, Range(0)] = 0.05
+    beta_mu: Annotated[float, _BETA] = 0.95
+    beta_sigma: Annotated[float, _BETA] = 0.95
     omega_mu: float = 0.0
     omega_sigma: float = 0.05
     nu: float = 100.0
-    gamma: float = 0.5
+    gamma: Annotated[float, GAMMA] = 0.5
     mu0: float = 0.0
-    sigma2_0: float = 1.0
+    sigma2_0: Annotated[float, Range(0, low_open=True)] = 1.0
     family: Family = Family.STUDENT_T
 
     def __post_init__(self):
         # stores Python floats: the filter loop is about twice as fast on them as on np.float64
         check_fields(self)
-        if self.alpha_mu < 0 or self.alpha_sigma < 0:
-            raise ValidationError("learning rates alpha must be non-negative")
-        if abs(self.beta_mu) >= 1 or abs(self.beta_sigma) >= 1:
-            raise ValidationError("mean-reversion beta must lie in (-1, 1)")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValidationError("gamma must lie in [0, 1)")
-        if self.sigma2_0 <= 0:
-            raise ValidationError("sigma2_0 must be positive")
-        if self.family is Family.STUDENT_T and self.nu <= 2:
-            raise ValidationError("nu must exceed 2 for the Student's t family")
+        check_nu(self.family, self.nu)
 
     @property
     def gamma_ratio(self) -> float:
@@ -181,7 +183,7 @@ def forecast_statistics(
     applies theta <- omega + beta*theta. Every step's variance is floored.
     """
     if horizon < 1:
-        raise ValidationError("horizon must be at least 1")
+        raise ValidationError(f"horizon must be at least 1, got {horizon}")
     mu = [np.asarray(mu_next, dtype=np.float64)]
     s2 = [np.maximum(np.asarray(sigma2_next, dtype=np.float64), VARIANCE_FLOOR)]
     for _ in range(1, horizon):

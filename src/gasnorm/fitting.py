@@ -22,28 +22,27 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Annotated
 
 import numpy as np
 
-from .errors import FitError, ValidationError, check_at_least, check_fields
-from .filtering import VARIANCE_FLOOR, Family, GasParams, filter_series
+from .errors import FitError, Range, ValidationError, check_fields
+from .filtering import GAMMA, VARIANCE_FLOOR, Family, GasParams, check_nu, filter_series
 from .series import SeriesFrame, one_series
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    gamma: float = 0.5
+    gamma: Annotated[float, GAMMA] = 0.5
     family: Family = Family.STUDENT_T
-    max_iters: int = 400
-    restarts: int = 3
+    max_iters: Annotated[int, Range(1)] = 400
+    restarts: Annotated[int, Range(1)] = 3
     fit_nu: bool = False
     nu: float = 100.0
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValidationError("gamma must lie in [0, 1)")
-        check_at_least(self, restarts=1, max_iters=1)
+        check_nu(self.family, self.nu)
         if self.fit_nu and self.family is Family.GAUSSIAN:
             raise ValidationError("fit_nu needs the student_t family: a gaussian fit has no nu")
 
@@ -58,13 +57,13 @@ class FitConfig:
 class FitResult:
     params: GasParams
     objective: float
-    iterations: int
+    iterations: Annotated[int, Range(0)]
     converged: bool
-    evaluations: int  # objective evaluations: the initial point plus every restart's
+    # objective evaluations: the initial point plus every restart's
+    evaluations: Annotated[int, Range(1)]
 
     def __post_init__(self):
         check_fields(self)
-        check_at_least(self, iterations=0, evaluations=1)
 
 
 def penalized_objective(params: GasParams, ys) -> float:
@@ -241,9 +240,7 @@ def fork_pool(tasks: int):
     from concurrent.futures import ProcessPoolExecutor
 
     # numpy's compiled core, which links its BLAS
-    core = (sys.modules.get("numpy._core._multiarray_umath")
-            or sys.modules["numpy.core._multiarray_umath"])  # numpy 1.x
-    numpy_lib = ctypes.CDLL(core.__file__)
+    numpy_lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
     set_blas_threads = next((getattr(numpy_lib, name) for name in _BLAS_THREAD_SETTERS
                              if hasattr(numpy_lib, name)), None)
     prctl = ctypes.CDLL(None).prctl if sys.platform.startswith("linux") else None

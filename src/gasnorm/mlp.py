@@ -17,10 +17,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_at_least, check_fields
+from .errors import NumericalError, Range, ValidationError, check_fields
 from .series import as_columns
 
 
@@ -33,18 +34,15 @@ class Activation(enum.Enum):
 class MlpSpec:
     """Architecture and training schedule; widths are the hidden layers."""
 
-    layer_widths: tuple[int, ...] = (64, 64)
+    layer_widths: Annotated[tuple[int, ...], Range(1)] = (64, 64)
     activation: Activation = Activation.RELU
-    learning_rate: float = 0.01
-    epochs: int = 100
-    batch_size: int = 32
-    seed: int = 0
+    learning_rate: Annotated[float, Range(0, low_open=True)] = 0.01
+    epochs: Annotated[int, Range(1)] = 100
+    batch_size: Annotated[int, Range(1)] = 32
+    seed: Annotated[int, Range(0)] = 0
 
     def __post_init__(self):
         check_fields(self)
-        if min((*self.layer_widths, self.learning_rate, self.epochs, self.batch_size)) <= 0:
-            raise ValidationError("layer_widths, learning_rate, epochs, batch_size must be > 0")
-        check_at_least(self, seed=0)
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,8 @@ class TrainedModel:
     biases: list[np.ndarray]
     spec: MlpSpec
     train_loss_curve: tuple[float, ...]
-    input_shape: tuple[int, int]
-    output_shape: tuple[int, int]
+    input_shape: Annotated[tuple[int, int], Range(1)]
+    output_shape: Annotated[tuple[int, int], Range(1)]
 
     def __post_init__(self):
         check_fields(self)
@@ -63,8 +61,6 @@ class TrainedModel:
                 object.__setattr__(self, name, [np.asarray(a, float) for a in getattr(self, name)])
             except (TypeError, ValueError):
                 raise ValidationError(f"{name} must be a list of numeric arrays") from None
-        if min(self.input_shape + self.output_shape) < 1:
-            raise ValidationError("input_shape and output_shape must be positive")
         # the layers map the flattened input window, through each hidden width, to the output
         n_in, n_out = math.prod(self.input_shape), math.prod(self.output_shape)
         widths = [n_in, *self.spec.layer_widths, n_out]

@@ -10,12 +10,14 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ValidationError, check_fields
+from .errors import Range, ValidationError, check_fields
 
 _BLOCK_ROWS = 1024  # rows per block read from or written to a CSV file
+_COUNT = Range(1)  # a window's length in steps, or the stride between window starts
 
 
 def as_columns(values) -> np.ndarray:
@@ -85,21 +87,15 @@ class SeriesFrame:
 class SplitSpec:
     """Chronological split fractions plus windowing geometry."""
 
-    train_fraction: float
-    val_fraction: float = 0.0
-    context_length: int = 1
-    horizon: int = 1
+    train_fraction: Annotated[float, Range(0, 1, low_open=True, high_open=True)]
+    val_fraction: Annotated[float, Range(0, 1, high_open=True)] = 0.0
+    context_length: Annotated[int, _COUNT] = 1
+    horizon: Annotated[int, _COUNT] = 1
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValidationError("train_fraction must be in (0, 1)")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValidationError("val_fraction must be in [0, 1)")
         if self.train_fraction + self.val_fraction >= 1.0:
             raise ValidationError("train_fraction + val_fraction must be < 1")
-        if self.context_length < 1 or self.horizon < 1:
-            raise ValidationError("context_length and horizon must be positive")
 
 
 def load_csv(path) -> SeriesFrame:
@@ -235,8 +231,8 @@ def windows(frame: SeriesFrame, context_length: int, horizon: int, stride: int =
     it costs no copy of the (L+h) times larger stack.
     """
     l, h = context_length, horizon
-    if l < 1 or h < 1 or stride < 1:
-        raise ValidationError("context_length, horizon and stride must be positive")
+    for name, value in (("context_length", l), ("horizon", h), ("stride", stride)):
+        _COUNT.check(value, name)
     n = len(frame)
     if l + h > n:
         raise ValidationError(f"context + horizon = {l + h} exceeds series length {n}")

@@ -97,9 +97,7 @@ def record_pools(monkeypatch) -> list[list]:
 
 def blas_threads() -> int | None:
     """The thread count numpy's OpenBLAS reports, or None where no getter resolves."""
-    core = (sys.modules.get("numpy._core._multiarray_umath")
-            or sys.modules["numpy.core._multiarray_umath"])  # numpy 1.x
-    lib = ctypes.CDLL(core.__file__)
+    lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
     for name in _BLAS_THREAD_SETTERS:
         getter = getattr(lib, name.replace("_set_", "_get_"), None)
         if getter is not None:

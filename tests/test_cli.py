@@ -552,7 +552,8 @@ class TestInvalidInputExitsOne:
             (lambda doc: doc.update(input_shape=[120]), "input_shape"),
             (lambda doc: doc.update(weights=5), "model"),
             (lambda doc: doc.update(input_shape=[20]), "input_shape must be a list of 2"),
-            (lambda doc: doc.update(output_shape=[4, 0]), "output_shape must be positive"),
+            (lambda doc: doc.update(output_shape=[4, 0]),
+             "output_shape entry 1 must be at least 1, got 0"),
             (lambda doc: doc.update(weights="ab"), "weights"),
             (lambda doc: doc.update(biases={}), "biases"),
             (lambda doc: doc.update(train_loss_curve=True), "train_loss_curve"),

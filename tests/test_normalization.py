@@ -18,7 +18,7 @@ from gasnorm import (
     denormalize,
     normalize,
 )
-from gasnorm.errors import ValidationError
+from gasnorm.errors import NumericalError, ValidationError
 from gasnorm.normalization import NormalizedBatch, save_batch
 from gasnorm.series import SeriesFrame, windows
 
@@ -131,15 +131,41 @@ class TestGasNormalize:
         with pytest.raises(ValidationError, match="f1"):
             normalize(gas_spec({"f0": static_params(1.0, 1.0)}), np.ones((5, 2)), 1)
 
-    def test_no_lookahead_prefix_property(self):
-        rng = np.random.default_rng(2)
-        ctx = rng.normal(size=(40, 1))
-        p = static_params(0.0, 1.0, gamma=0.6)
-        full = normalize(gas_spec({"f0": p}), ctx, 1)
-        prefix = normalize(gas_spec({"f0": p}), ctx[:25], 1)
-        np.testing.assert_allclose(
-            full.normalized_context[:25], prefix.normalized_context, atol=1e-14
-        )
+    @given(
+        data=st.data(),
+        params=st.builds(
+            GasParams,
+            alpha_mu=st.floats(0.0, 2.0), alpha_sigma=st.floats(0.0, 2.0),
+            beta_mu=st.floats(-0.999, 0.999), beta_sigma=st.floats(-0.999, 0.999),
+            omega_mu=st.floats(-5.0, 5.0), omega_sigma=st.floats(0.0, 5.0),
+            nu=st.floats(2.1, 1000.0), gamma=st.floats(0.0, 1.0, exclude_max=True),
+            mu0=st.floats(-5.0, 5.0), sigma2_0=st.floats(0.01, 10.0),
+            family=st.sampled_from(list(Family)),
+        ),
+        ys=hnp.arrays(np.float64, st.integers(2, 40), elements=st.floats(-20.0, 20.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_lookahead_prefix_property(self, data, params, ys):
+        # each step is normalized by the prediction made before it was seen: a prefix
+        # normalizes as the whole series does over its steps, whatever comes after it
+        t = data.draw(st.integers(1, ys.size - 1), label="t")
+        later = ys.copy()
+        later[t:] = data.draw(hnp.arrays(np.float64, ys.size - t, elements=st.floats(-20, 20)))
+        spec = gas_spec({"f0": params})
+
+        def run(series):  # None where the filter's state leaves the finite floats
+            try:
+                return normalize(spec, series, 1)
+            except NumericalError:
+                return None
+
+        prefix = run(ys[:t])
+        for full in map(run, (ys, later)):
+            if full is None:
+                continue
+            assert prefix is not None
+            for name in ("normalized_context", "context_mu", "context_scale"):
+                assert getattr(full, name)[:t].tobytes() == getattr(prefix, name).tobytes(), name
 
     def test_strength_monotone_level_shift_tracking(self):
         level = 5.0
