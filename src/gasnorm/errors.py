@@ -95,7 +95,7 @@ _SCALARS = {bool: (bool, "true or false"), int: (Integral, "an integer"),
             float: (Real, "a finite number")}
 
 
-def _checked(tp, value, name: str, bound: Range | None):
+def check_value(tp, value, name: str, bound: Range | None):
     """``value`` as the annotation ``tp`` asks and within ``bound``, or a ValidationError
     naming ``name``; a tuple's entries are each checked against ``bound``."""
     if tp in _SCALARS:
@@ -107,13 +107,13 @@ def _checked(tp, value, name: str, bound: Range | None):
         ok = isinstance(value, tp) or value in [m.value for m in tp]
         want = f"one of {[m.value for m in tp]}"
     elif len(args := typing.get_args(tp)) == 2 and args[1] is type(None):  # X | None
-        return None if value is None else _checked(args[0], value, name, bound)
+        return None if value is None else check_value(args[0], value, name, bound)
     elif typing.get_origin(tp) is tuple:
         value = value.tolist() if isinstance(value, np.ndarray) else value
         ok = isinstance(value, (list, tuple)) and (args[-1] is ... or len(value) == len(args))
         if ok:
             types = args[:1] * len(value) if args[-1] is ... else args
-            return tuple(_checked(types[i], v, f"{name} entry {i}", bound)
+            return tuple(check_value(types[i], v, f"{name} entry {i}", bound)
                          for i, v in enumerate(value))
         want = "a list" if args[-1] is ... else f"a list of {len(args)} entries"
     else:
@@ -132,7 +132,7 @@ def check_fields(obj) -> None:
     declares; other annotations are left to the class.
     """
     for name, tp, bound in _annotations(type(obj)):
-        object.__setattr__(obj, name, _checked(tp, getattr(obj, name), name, bound))
+        object.__setattr__(obj, name, check_value(tp, getattr(obj, name), name, bound))
 
 
 def from_keys(cls, d, where: str, required=()):

@@ -15,9 +15,12 @@ entirely, which reduces the filter to a deterministic affine recursion
 
 The loop runs on Python floats (``GasParams`` fields, and ``ys`` read
 one at a time through a memoryview): numpy-scalar arithmetic gives the
-same IEEE-754 results at about twice the cost per step. It appends each
-prediction theta_{t|t-1} to an ``array("d")`` buffer, 8 bytes a value,
-which becomes an array without a copy at the end; theta_{t|t} is not kept.
+same IEEE-754 results at about twice the cost per step. Each caller
+says which outputs it reads. The fit's objective pass sums the
+log-likelihood and penalty and keeps no per-step values. Normalization's
+priors pass appends each prediction theta_{t|t-1} to an ``array("d")``
+buffer, 8 bytes a value, which becomes an array without a copy at the
+end, and computes no log-density. theta_{t|t} is never kept.
 """
 
 from __future__ import annotations
@@ -87,23 +90,37 @@ class FilterTrace:
     uses); ``mu_next``/``sigma2_next`` are theta_{T+1|T}. ``loglik``
     accumulates log p(y_t | theta_{t|t-1}) over the prediction-error
     decomposition, ``penalty`` the FIM-weighted squared update steps.
+    A pass that did not compute an output holds None for it. ``steps``
+    is the number of observations filtered, and the trace's length.
     """
 
-    mu_prior: np.ndarray
-    sigma2_prior: np.ndarray
+    mu_prior: np.ndarray | None
+    sigma2_prior: np.ndarray | None
     mu_next: float
     sigma2_next: float
-    loglik: float
-    penalty: float
+    loglik: float | None
+    penalty: float | None
+    steps: int
 
     def __len__(self) -> int:
-        return self.mu_prior.shape[0]
+        return self.steps
 
 
-def filter_series(params: GasParams, ys) -> FilterTrace:
-    """Run the filter over a full series, accumulating the log-likelihood.
+def filter_series(params: GasParams, ys, *, likelihood: bool = True,
+                  priors: bool = True) -> FilterTrace:
+    """Run the filter over a full series; compute the outputs the caller reads.
 
-    Raises NumericalError naming the first timestep whose state is non-finite.
+    ``likelihood`` accumulates ``loglik`` and ``penalty``, ``priors`` keeps
+    ``mu_prior`` and ``sigma2_prior``; an output not computed is None. The
+    next state is always returned. Raises NumericalError naming the first
+    timestep whose state (or log-likelihood) is non-finite.
+
+    The objective pass (``priors=False``) checks once, after the loop, and
+    names no timestep. It raises in the same cases: a non-finite state makes
+    the next log-likelihood term non-finite, and every term is bounded above
+    (s2 >= VARIANCE_FLOOR), so a non-finite sum stays non-finite. A pass
+    without the likelihood checks only the state, so a log-likelihood that
+    overflows on a finite state does not stop it.
     """
     ys = one_series(ys)
     if ys.size == 0:
@@ -118,6 +135,7 @@ def filter_series(params: GasParams, ys) -> FilterTrace:
     push_mu_prior, push_s2_prior = mu_prior.append, s2_prior.append
     log, log1p, isfinite = math.log, math.log1p, math.isfinite
     gaussian = params.family is Family.GAUSSIAN
+    check_each = priors or not likelihood
     step_mu = params.gamma_ratio * params.alpha_mu
     step_s2 = params.gamma_ratio * params.alpha_sigma
     neg_half_log_2pi = -0.5 * _LOG_2PI
@@ -140,36 +158,46 @@ def filter_series(params: GasParams, ys) -> FilterTrace:
     for t, y in enumerate(memoryview(ys)):
         r = y - mu
         if gaussian:
-            loglik += neg_half_log_2pi - 0.5 * log(s2) - 0.5 * r * r / s2
             # inverse-FIM-scaled (natural gradient) scores
             scaled_mu = r
             scaled_s2 = r * r - s2
-            fim_mu = 1.0 / s2
-            fim_s2 = 0.5 / (s2 * s2)
+            if likelihood:
+                loglik += neg_half_log_2pi - 0.5 * log(s2) - 0.5 * r * r / s2
+                fim_mu = 1.0 / s2
+                fim_s2 = 0.5 / (s2 * s2)
         else:
             z2 = r * r / (nu * s2)
-            loglik += lgam - 0.5 * log(s2) - half_nu1 * log1p(z2)
             # scalings nu*s2/(nu+1) and 2*s2^2: proportional to the inverse FIM
             scaled_mu = r / (1.0 + z2)
             scaled_s2 = nu1 * r * r / (nu + r * r / s2) - s2
-            fim_mu = nu1 / (nu3 * s2)
-            fim_s2 = nu / (two_nu3 * s2 * s2)
+            if likelihood:
+                loglik += lgam - 0.5 * log(s2) - half_nu1 * log1p(z2)
+                fim_mu = nu1 / (nu3 * s2)
+                fim_s2 = nu / (two_nu3 * s2 * s2)
         m_f = mu + step_mu * scaled_mu
         v_f = s2 + step_s2 * scaled_s2
         if v_f < floor:
             v_f = floor
-        d_mu = m_f - mu
-        d_s2 = v_f - s2
-        penalty += fim_mu * d_mu * d_mu + fim_s2 * d_s2 * d_s2
-        push_mu_prior(mu)
-        push_s2_prior(s2)
+        if likelihood:
+            d_mu = m_f - mu
+            d_s2 = v_f - s2
+            penalty += fim_mu * d_mu * d_mu + fim_s2 * d_s2 * d_s2
+        if priors:
+            push_mu_prior(mu)
+            push_s2_prior(s2)
         mu = omega_mu + beta_mu * m_f
         s2 = omega_sigma + beta_sigma * v_f
         if s2 < floor:
             s2 = floor
-        if not (isfinite(mu) and isfinite(s2) and isfinite(loglik)):
+        if check_each and not (isfinite(mu) and isfinite(s2) and isfinite(loglik)):
             raise NumericalError(f"filter state became non-finite at timestep {t}")
-    return FilterTrace(np.frombuffer(mu_prior), np.frombuffer(s2_prior), mu, s2, loglik, penalty)
+    if not (isfinite(mu) and isfinite(s2) and isfinite(loglik)):
+        raise NumericalError("filter state became non-finite")
+    return FilterTrace(
+        np.frombuffer(mu_prior) if priors else None,
+        np.frombuffer(s2_prior) if priors else None,
+        mu, s2, loglik if likelihood else None, penalty if likelihood else None, ys.size,
+    )
 
 
 def forecast_statistics(

@@ -67,8 +67,11 @@ class FitResult:
 
 
 def penalized_objective(params: GasParams, ys) -> float:
-    """gamma-weighted log-likelihood minus (1-gamma)/2 times the step penalty."""
-    trace = filter_series(params, ys)
+    """gamma-weighted log-likelihood minus (1-gamma)/2 times the step penalty.
+
+    The filter runs its objective pass: it keeps no per-step predictions.
+    """
+    trace = filter_series(params, ys, priors=False)
     return params.gamma * trace.loglik - 0.5 * (1.0 - params.gamma) * trace.penalty
 
 
@@ -199,15 +202,19 @@ _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _init_worker(set_blas_threads, prctl, parent: int) -> None:
+def _init_worker(set_blas_threads, shutdown_blas_threads, prctl, parent: int) -> None:
     """A pool worker's initializer: one BLAS thread, and on Linux death with ``parent``.
 
     Each core already runs a worker, so a second BLAS thread per worker
-    only competes with the others. Without a setter the worker keeps the
-    library's default; without ``prctl`` it may outlive ``parent``.
+    only competes with the others. The pin still leaves OpenBLAS one idle
+    server thread, which spins for about 0.13 s of CPU; the shutdown ends
+    it, and one BLAS thread needs none. Without a setter the worker keeps
+    the library's default; without ``prctl`` it may outlive ``parent``.
     """
     if set_blas_threads is not None:
         set_blas_threads(1)
+        if shutdown_blas_threads is not None:
+            shutdown_blas_threads()
     if prctl is not None:
         prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG: the kernel kills the worker
         if os.getppid() != parent:  # the parent exited before the call above
@@ -225,10 +232,11 @@ def fork_pool(tasks: int):
     re-import numpy and gasnorm, which costs more than half of one restart.
     A worker runs a restart search or an experiment cell, and neither starts
     a pool, so no pool starts inside another. Each worker sets OpenBLAS to
-    one thread, where numpy's library exports a setter. On exit the tasks
-    not yet begun are cancelled. On Linux the kernel also kills every
-    worker when this process ends, even by a signal that runs no
-    ``finally``. It does so when the thread that forked the worker ends:
+    one thread, where numpy's library exports a setter, then shuts down its
+    idle server thread, where the library exports ``blas_thread_shutdown_``.
+    On exit the tasks not yet begun are cancelled. On Linux the kernel also
+    kills every worker when this process ends, even by a signal that runs
+    no ``finally``. It does so when the thread that forked the worker ends:
     the one that first submits, which outlives the pool.
     """
     workers = min(tasks, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
@@ -243,10 +251,14 @@ def fork_pool(tasks: int):
     numpy_lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
     set_blas_threads = next((getattr(numpy_lib, name) for name in _BLAS_THREAD_SETTERS
                              if hasattr(numpy_lib, name)), None)
+    shutdown_blas_threads = getattr(numpy_lib, "blas_thread_shutdown_", None)
+    if shutdown_blas_threads is not None:
+        shutdown_blas_threads.argtypes, shutdown_blas_threads.restype = [], ctypes.c_int
     prctl = ctypes.CDLL(None).prctl if sys.platform.startswith("linux") else None
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker,
-                               initargs=(set_blas_threads, prctl, os.getpid()))
+                               initargs=(set_blas_threads, shutdown_blas_threads, prctl,
+                                         os.getpid()))
     try:
         yield pool
     finally:

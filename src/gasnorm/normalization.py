@@ -128,7 +128,7 @@ def _gas_statistics(params: dict[str, GasParams], ctx: np.ndarray, horizon: int,
     Each observation is normalized with the prediction made before it
     was seen; the horizon starts at the prediction after the window's
     last step. Every window restarts the filter from the fitted initial
-    state.
+    state. The filter runs its priors pass: it computes no likelihood.
     """
     missing = [n for n in names if n not in params]
     if missing:
@@ -141,7 +141,7 @@ def _gas_statistics(params: dict[str, GasParams], ctx: np.ndarray, horizon: int,
     for j, name in enumerate(names):
         for window in np.ndindex(ctx.shape[:-2]):
             at = (*window, slice(None), j)
-            trace = filter_series(params[name], ctx[at])
+            trace = filter_series(params[name], ctx[at], likelihood=False)
             c_mu[at], c_s2[at] = trace.mu_prior, trace.sigma2_prior
             next_mu[window], next_s2[window] = trace.mu_next, trace.sigma2_next
         h_mu[..., j], h_s2[..., j] = forecast_statistics(params[name], next_mu, next_s2, horizon)

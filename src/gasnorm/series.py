@@ -14,7 +14,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import Range, ValidationError, check_fields
+from .errors import Range, ValidationError, check_fields, check_value
 
 _BLOCK_ROWS = 1024  # rows per block read from or written to a CSV file
 _COUNT = Range(1)  # a window's length in steps, or the stride between window starts
@@ -230,9 +230,8 @@ def windows(frame: SeriesFrame, context_length: int, horizon: int, stride: int =
     array is a read-only, strided view that shares the frame's memory, so
     it costs no copy of the (L+h) times larger stack.
     """
-    l, h = context_length, horizon
-    for name, value in (("context_length", l), ("horizon", h), ("stride", stride)):
-        _COUNT.check(value, name)
+    l, h, stride = (check_value(int, value, name, _COUNT) for name, value in
+                    (("context_length", context_length), ("horizon", horizon), ("stride", stride)))
     n = len(frame)
     if l + h > n:
         raise ValidationError(f"context + horizon = {l + h} exceeds series length {n}")

@@ -3,8 +3,9 @@
 They build inputs for the shift, outlier and trend tests, check the
 MLP's backprop, read CSV text, draw frames for the CSV writer tests,
 measure the memory a call allocates, record the process pools a run
-makes, read numpy's OpenBLAS thread count, find a report's row and run
-code in a fresh interpreter; the pipeline itself needs none of them.
+makes, read numpy's OpenBLAS thread count and exports, find a report's
+row and run code in a fresh interpreter; the pipeline itself needs none
+of them.
 """
 
 import concurrent.futures
@@ -103,6 +104,12 @@ def blas_threads() -> int | None:
         if getter is not None:
             return int(getter())
     return None
+
+
+def blas_shutdown_exported() -> bool:
+    """Whether numpy's OpenBLAS exports the call that ends its server threads."""
+    lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
+    return hasattr(lib, "blas_thread_shutdown_")
 
 
 def report_row(report: EvalReport, normalizer: str, gamma: float | None = None):

@@ -290,6 +290,107 @@ class TestFilterSeries:
             filter_series(GasParams(family=family, gamma=0.5), [0.0, 1e200, 0.0])
 
 
+def _outcome(params, ys, **passes):
+    """The pass's trace, or the message of the NumericalError it raised."""
+    try:
+        return filter_series(params, ys, **passes)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _failed_at(outcome) -> int | None:
+    """The timestep a failed pass names, or None for a trace."""
+    return int(outcome.rsplit(" ", 1)[1]) if isinstance(outcome, str) else None
+
+
+def _bits(*values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+class TestPasses:
+    """The objective pass (``priors=False``) and the priors pass (``likelihood=False``)
+    against the full pass, on series with values whose square overflows."""
+
+    @given(
+        ys=st.lists(st.one_of(st.floats(-20.0, 20.0),
+                              st.sampled_from([1e151, -1e151, 1e200])),
+                    min_size=1, max_size=20),
+        family=st.sampled_from(list(Family)),
+        alpha=st.floats(0.0, 2.0),
+        beta=st.floats(-0.99, 0.99),
+        omega_sigma=st.floats(-1.0, 1.0),
+        gamma=st.floats(0.0, 0.99),
+        nu=st.floats(2.5, 50.0),
+        sigma2_0=st.sampled_from([1e-8, 1e-3, 1.0, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_pass_agrees_with_the_full_pass(
+        self, ys, family, alpha, beta, omega_sigma, gamma, nu, sigma2_0
+    ):
+        p = GasParams(family=family, alpha_mu=alpha, alpha_sigma=alpha, beta_mu=beta,
+                      beta_sigma=beta, omega_mu=0.1, omega_sigma=omega_sigma, nu=nu,
+                      gamma=gamma, sigma2_0=sigma2_0)
+        full = _outcome(p, ys)
+        objective = _outcome(p, ys, priors=False)
+        priors = _outcome(p, ys, likelihood=False)
+        state = _outcome(p, ys, likelihood=False, priors=False)
+        for trace in (full, objective, priors, state):
+            assert isinstance(trace, str) or len(trace) == len(ys)
+        # the one check after the loop raises exactly where the per-step check does
+        assert isinstance(objective, str) == isinstance(full, str)
+        if not isinstance(full, str):
+            assert objective.mu_prior is None and objective.sigma2_prior is None
+            assert _bits(objective.loglik, objective.penalty, objective.mu_next,
+                         objective.sigma2_next) == _bits(
+                full.loglik, full.penalty, full.mu_next, full.sigma2_next)
+            assert priors.loglik is None and priors.penalty is None
+            assert _bits(priors.mu_prior, priors.sigma2_prior, priors.mu_next,
+                         priors.sigma2_next) == _bits(
+                full.mu_prior, full.sigma2_prior, full.mu_next, full.sigma2_next)
+            return
+        # the full pass also stops where only the log-likelihood overflows, so never later
+        failed_at = _failed_at(full)
+        assert failed_at <= (_failed_at(priors) or len(ys))
+        assert _failed_at(state) == _failed_at(priors)
+        if failed_at > 0:
+            # up to the full pass's failure both passes filter the same states
+            head = filter_series(p, ys[:failed_at])
+            priors_head = filter_series(p, ys[:failed_at], likelihood=False)
+            assert _bits(priors_head.mu_prior, priors_head.sigma2_prior, priors_head.mu_next,
+                         priors_head.sigma2_next) == _bits(
+                head.mu_prior, head.sigma2_prior, head.mu_next, head.sigma2_next)
+            if not isinstance(priors, str):
+                assert _bits(priors.mu_prior[:failed_at]) == _bits(head.mu_prior)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_a_state_blow_up_stops_the_priors_pass_at_its_timestep(self, family):
+        # 1e200 squared makes the variance infinite at the step that sees it
+        p = GasParams(family=family, gamma=0.5)
+        for passes in ({}, {"likelihood": False}):
+            with pytest.raises(NumericalError, match="non-finite at timestep 1$"):
+                filter_series(p, [0.0, 1e200, 0.0], **passes)
+        with pytest.raises(NumericalError, match="non-finite$"):
+            filter_series(p, [0.0, 1e200, 0.0], priors=False)
+
+    def test_an_overflowing_likelihood_on_a_finite_state_stops_only_the_full_pass(self):
+        # 1e151 squared over a variance of 1e-8 overflows the log-density; the state
+        # after it, (4.75e149, 4.75e300), is finite
+        p = GasParams(family=Family.GAUSSIAN, gamma=0.5, sigma2_0=1e-8)
+        with pytest.raises(NumericalError, match="non-finite at timestep 0$"):
+            filter_series(p, [1e151, 0.0])
+        trace = filter_series(p, [1e151, 0.0], likelihood=False)
+        assert trace.mu_prior[1] == pytest.approx(4.75e149)
+        assert trace.sigma2_prior[1] == pytest.approx(4.75e300)
+        assert np.isfinite([trace.mu_next, trace.sigma2_next]).all()
+
+    def test_a_pass_holds_none_for_what_it_did_not_compute(self):
+        p = gaussian_params()
+        objective = filter_series(p, [1.0, 2.0], priors=False)
+        assert (objective.mu_prior, objective.sigma2_prior) == (None, None)
+        priors = filter_series(p, [1.0, 2.0], likelihood=False)
+        assert (priors.loglik, priors.penalty) == (None, None)
+
+
 class TestForecastStatistics:
     def test_beta_zero_collapses_to_omega(self):
         p = gaussian_params(beta_mu=0.0, omega_mu=3.0)

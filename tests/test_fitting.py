@@ -15,7 +15,8 @@ from scipy import stats
 from scipy.optimize import Bounds, minimize
 
 import gasnorm.fitting as fitting_mod
-from _helpers import blas_threads, fresh_interpreter, gasnorm_env, record_pools
+from _helpers import (blas_shutdown_exported, blas_threads, fresh_interpreter, gasnorm_env,
+                      record_pools)
 
 from gasnorm import (
     ArSpec,
@@ -464,6 +465,15 @@ def test_a_fit_killed_by_a_signal_leaves_no_running_worker():
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not blas_shutdown_exported(),
+                    reason="needs Linux's /proc and an OpenBLAS that exports its thread shutdown")
+def test_an_idle_pool_worker_holds_one_thread(monkeypatch):
+    # the BLAS pin alone leaves OpenBLAS an idle server thread that spins
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with fitting_mod.fork_pool(2) as pool:
+        assert len(pool.submit(os.listdir, "/proc/self/task").result()) == 1
 
 
 @pytest.mark.skipif(blas_threads() in (None, 1),

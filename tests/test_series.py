@@ -354,6 +354,18 @@ class TestWindows:
         assert win.shape == (19_945, 56, 3)
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 1), "context_length"), ((2, 1.0), "horizon"), ((2, 1, 1.5), "stride"),
+        ((True, 1), "context_length"), ((2, False), "horizon"), ((2, 1, True), "stride"),
+        ((2, "1"), "horizon"),
+    ])
+    def test_a_size_that_is_no_integer_is_named(self, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            windows(make_frame(10), *args)
+
+    def test_numpy_integer_sizes_are_counts(self):
+        assert len(windows(make_frame(10), np.int64(3), np.int32(2), np.int64(2))) == 3
+
     def test_count_formula(self):
         for n, l, h, s in [(20, 4, 3, 2), (17, 5, 1, 3), (30, 10, 10, 7)]:
             assert len(windows(make_frame(n), l, h, s)) == (n - l - h) // s + 1
